@@ -22,28 +22,19 @@ of the next instant).
 
 Dispatch is deterministic: behaviors that become runnable together are
 ordered by their spawn id, so two runs of the same program produce identical
-event traces.
+event traces. Resumptions due at an instant's start sort as ``(bid, task,
+value)`` entries by the unique spawn id; behaviors spawned since the last
+instant started follow them all, in spawn order, as spawn ids only grow.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Generator
 
 Behavior = Generator  # a behavior is any generator yielding kernel commands
-
-# behavior states
-READY = 0
-WAIT_EVENT = 1
-WAIT_COLLECT = 2
-WAIT_NEXT = 3
-DONE = 4
-
-# scheduler phases
-_IDLE = 0
-_ACTIVE = 1
-_END = 2
 
 DEFAULT_MICROSTEP_BUDGET = 1_000_000
 
@@ -112,21 +103,15 @@ COOPERATE = _Cooperate()
 
 
 class _Task:
-    __slots__ = ("bid", "gen", "state", "value")
+    __slots__ = ("bid", "gen", "value")
 
     def __init__(self, bid: int, gen: Behavior):
         self.bid = bid
         self.gen = gen
-        self.state = READY
         self.value: Any = None
 
 
-def _task_bid(task: _Task) -> int:
-    return task.bid
-
-
-def _entry_bid(entry: tuple[_Task, Any]) -> int:
-    return entry[0].bid
+_task_bid = attrgetter("bid")
 
 
 @dataclass(frozen=True)
@@ -143,9 +128,10 @@ class Scheduler:
     def __init__(self, microstep_budget: int = DEFAULT_MICROSTEP_BUDGET):
         self.microstep_budget = microstep_budget
         self._clock = 0
-        self._phase = _IDLE
+        self._active = False  # in the active phase of an instant
         self._queue: deque[_Task] = deque()
-        self._resume: list[tuple[_Task, Any]] = []  # run at next instant start
+        # (bid, task, value) entries to run at the next instant's start
+        self._resume: list[tuple[int, _Task, Any]] = []
         self._pending_spawns: list[_Task] = []
         self._collectors: list[tuple[_Task, Event]] = []
         self._touched: list[Event] = []
@@ -180,7 +166,7 @@ class Scheduler:
         instant, or between instants, would make "all values of the instant"
         ill-defined and is rejected.
         """
-        if self._phase != _ACTIVE:
+        if not self._active:
             raise PhaseError(
                 "generate is only allowed during the active phase of an instant"
             )
@@ -194,7 +180,6 @@ class Scheduler:
             if len(waiters) > 1:
                 waiters.sort(key=_task_bid)
             for task in waiters:
-                task.state = READY
                 task.value = None
             self._queue.extend(waiters)
             waiters.clear()
@@ -202,21 +187,19 @@ class Scheduler:
     def run_instant(self) -> InstantReport:
         """Execute one full instant (active phase, then end-of-instant)."""
         instant = self._clock
-        self._phase = _ACTIVE
+        self._active = True
         self._generated = 0
 
         # Admit everything scheduled for this instant, in spawn-id order.
         ready = self._resume
-        self._resume = []
-        for task in self._pending_spawns:
-            ready.append((task, None))
-        self._pending_spawns = []
-        ready.sort(key=_entry_bid)
+        self._resume = resume = []
+        ready.sort()
         queue = self._queue
-        for task, value in ready:
-            task.state = READY
+        for _, task, value in ready:
             task.value = value
             queue.append(task)
+        queue.extend(self._pending_spawns)
+        self._pending_spawns = []
 
         steps = 0
         budget = self.microstep_budget
@@ -232,17 +215,14 @@ class Scheduler:
                 try:
                     cmd = gen.send(value)
                 except StopIteration:
-                    task.state = DONE
                     self.alive -= 1
                     self.terminated += 1
                     break
                 if cmd is COOPERATE:
-                    task.state = WAIT_NEXT
-                    self._resume.append((task, None))
+                    resume.append((task.bid, task, None))
                     break
                 cls = cmd.__class__
                 if cls is Collect:
-                    task.state = WAIT_COLLECT
                     self._collectors.append((task, cmd.event))
                     break
                 if cls is Await:
@@ -250,16 +230,15 @@ class Scheduler:
                     if event.present:
                         value = None
                         continue
-                    task.state = WAIT_EVENT
                     event.waiters.append(task)
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
 
         # End of instant: collectors see exactly this instant's values,
         # then every touched event buffer is reset.
-        self._phase = _END
+        self._active = False
         for task, event in self._collectors:
-            self._resume.append((task, list(event.values)))
+            resume.append((task.bid, task, list(event.values)))
         self._collectors = []
         for event in self._touched:
             event.values.clear()
@@ -267,7 +246,6 @@ class Scheduler:
         self._touched = []
 
         self._clock += 1
-        self._phase = _IDLE
         return InstantReport(instant, self.alive, self.terminated, self._generated)
 
     def run(self, instants: int) -> list[InstantReport]:

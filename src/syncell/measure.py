@@ -1,9 +1,10 @@
 """Measurement: detectors, the uniform choice, and the reduction protocol.
 
 A detector broadcasts the measurement event of the first superposition it
-sees; every member cell reacts by spawning a ``reduce`` behavior. The
-reductions roll-call their identities on the context's signal event, one
-identity is drawn uniformly, and only the elected cell turns into a real
+sees; every member cell reacts by spawning a ``reduce`` behavior. The first
+reduction of each context spawns the context's one elector; the reductions
+roll-call their identities on the context's signal event, the elector draws
+one identity uniformly, and only the elected cell turns into a real
 particle. The whole protocol takes a fixed five instants from the
 measurement broadcast to the last member reset, which is what makes
 "the collapse is instantaneous" a checkable claim.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from .kernel import Await, COOPERATE, Collect
 from .particles import RealParticle
 from .stats import DetectionRecord, ReductionRecord
-from .world import BRICK, Cell, CellKind, World, direction_dy
+from .world import BRICK, Cell, CellKind, MeasurementContext, World, direction_dy
 
 # instants from the measurement broadcast to the member cells' reset
 REDUCE_WINDOW = 5
@@ -95,9 +96,8 @@ def set_chosen_state(c: Cell) -> None:
         holder.value = c.basic_state
 
 
-def choose_in_superposition(world: World, c: Cell):
+def choose_in_superposition(world: World, ctx: MeasurementContext):
     """Collect the roll-call and elect one member, first writer only."""
-    ctx = c.ctx
     yield Await(ctx.signal)
     ids = yield Collect(ctx.signal)
     if ctx.chosen.value == -1:
@@ -107,15 +107,17 @@ def choose_in_superposition(world: World, c: Cell):
 def reduce(world: World, c: Cell, done):
     """One member cell's part of the collapse.
 
-    Spawns an elector, reports its identity on the roll-call one instant
-    later, waits two instants for the election, and if elected publishes the
-    outcome state and launches the real particle. Always signals ``done`` so
-    the owning cell can reset.
+    Spawns the context's elector if no member has yet, reports its identity
+    on the roll-call one instant later, waits two instants for the election,
+    and if elected publishes the outcome state and launches the real
+    particle. Always signals ``done`` so the owning cell can reset.
     """
     sched = world.sched
     ctx = c.ctx
     me = world.grid.linear(c.x, c.y)
-    sched.spawn(choose_in_superposition(world, c))
+    if not ctx.elector_spawned:
+        ctx.elector_spawned = True
+        sched.spawn(choose_in_superposition(world, ctx))
     yield COOPERATE
     sched.generate(ctx.signal, me)
     yield COOPERATE

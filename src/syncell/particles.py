@@ -1,20 +1,23 @@
 """Real particles: the animated entities born from a collapse.
 
-A particle is driven by two per-instant steps composed in its behavior:
-inertia moves it by its velocity, bouncing reflects whichever velocity
-component would carry it into a wall cell. Positions are continuous, in
-cell units, and particles spawn at the centre of their birth cell so a
-component never lands exactly on a cell boundary.
+One ``particle_stepper`` behavior moves every particle of a world, once per
+instant, starting the instant after the particle's birth. Its per-particle
+step fuses inertia (move by the velocity) and bouncing (reflect whichever
+velocity component would carry the particle into a wall cell). Positions are
+continuous, in cell units, and particles spawn at the centre of their birth
+cell so a component never lands exactly on a cell boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .kernel import COOPERATE
-from .world import BRICK, Grid
+from .world import BRICK
 
 
 class RealParticle:
-    __slots__ = ("fx", "fy", "vx", "vy", "state", "alive")
+    __slots__ = ("fx", "fy", "vx", "vy", "state")
 
     def __init__(self, fx: float, fy: float, vx: float, vy: float, state: int):
         if abs(vx) > 1 or abs(vy) > 1:
@@ -24,7 +27,6 @@ class RealParticle:
         self.vx = vx
         self.vy = vy
         self.state = state
-        self.alive = True
 
     def __repr__(self):
         return (
@@ -33,31 +35,36 @@ class RealParticle:
         )
 
 
-def inertia_step(p: RealParticle) -> None:
-    p.fx += p.vx
-    p.fy += p.vy
+def step_particle(p: RealParticle, cells: list, width: int, height: int) -> None:
+    """Move by the velocity, then reflect off the wall cells run into.
 
-
-def bounce_step(p: RealParticle, grid: Grid) -> None:
-    """Reflect off wall cells the inertia step ran into, component-wise.
-
-    Each offending component is flipped and backed out to its pre-step
-    value, so a legal position stays legal and speed magnitude is
-    conserved. A corner hit flips both components.
+    ``cells`` is the grid's row-major cell list; off-grid counts as wall.
+    Each offending component is flipped and restored to its pre-step value,
+    so a legal position stays legal and speed magnitude is conserved. A
+    corner hit flips both components.
     """
-    prev_x = p.fx - p.vx
-    prev_y = p.fy - p.vy
-    if p.vx and grid.kind_at(int(p.fx), int(prev_y)) is BRICK:
-        p.vx = -p.vx
-        p.fx = prev_x
-    if p.vy and grid.kind_at(int(p.fx), int(p.fy)) is BRICK:
-        p.vy = -p.vy
-        p.fy = prev_y
+    x0, y0, vx, vy = p.fx, p.fy, p.vx, p.vy
+    fx, fy = x0 + vx, y0 + vy
+    if vx:
+        x, y = int(fx), int(y0)
+        if not (0 <= x < width and 0 <= y < height) or cells[y * width + x].kind is BRICK:
+            p.vx = -vx
+            fx = x0
+    if vy:
+        x, y = int(fx), int(fy)
+        if not (0 <= x < width and 0 <= y < height) or cells[y * width + x].kind is BRICK:
+            p.vy = -vy
+            fy = y0
+    p.fx, p.fy = fx, fy
 
 
-def particle_behavior(world, p: RealParticle):
+def particle_stepper(world):
+    """Step, once per instant, the particles whose start instant has come:
+    a prefix of ``world.particles``, as ``world.particle_starts`` never falls."""
     grid = world.grid
-    while p.alive:
-        inertia_step(p)
-        bounce_step(p, grid)
+    cells, width, height = list(grid.cells()), grid.width, grid.height
+    sched, particles, starts = world.sched, world.particles, world.particle_starts
+    while True:
+        for p in particles[: bisect_right(starts, sched.clock)]:
+            step_particle(p, cells, width, height)
         yield COOPERATE

@@ -33,6 +33,11 @@ PALETTE: list[tuple[int, int, int]] = [
 
 ASCII_CHARS = ".#SD012345"
 
+# bytes.translate tables (palette index to color channel, to character)
+_CHANNEL_TABLES = [bytes(rgb[ch] for rgb in PALETTE).ljust(256, b"\0") for ch in range(3)]
+_ASCII_TABLE = ASCII_CHARS.encode("ascii").ljust(256, b"?")
+_PALETTE_INDICES = bytes(range(len(PALETTE)))
+
 
 class FrameBuffer:
     """A width x height grid of palette indices, one pixel per cell."""
@@ -76,23 +81,23 @@ class FrameBuffer:
                 buf[y * width + x] = STATE0 + p.state
         return self
 
+    def _checked_buf(self) -> bytearray:
+        if self.buf.translate(None, _PALETTE_INDICES):
+            raise IndexError("frame buffer holds an index outside the palette")
+        return self.buf
+
     def to_ppm_bytes(self) -> bytes:
         header = f"P6\n{self.width} {self.height}\n255\n".encode("ascii")
-        body = bytearray(len(self.buf) * 3)
-        for i, idx in enumerate(self.buf):
-            r, g, b = PALETTE[idx]
-            body[3 * i] = r
-            body[3 * i + 1] = g
-            body[3 * i + 2] = b
-        return header + bytes(body)
+        buf = self._checked_buf()
+        body = bytearray(len(buf) * 3)
+        for ch, table in enumerate(_CHANNEL_TABLES):
+            body[ch::3] = buf.translate(table)
+        return header + body
 
     def to_ascii(self) -> str:
+        text = self._checked_buf().translate(_ASCII_TABLE).decode("ascii")
         width = self.width
-        rows = []
-        for y in range(self.height):
-            row = self.buf[y * width : (y + 1) * width]
-            rows.append("".join(ASCII_CHARS[idx] for idx in row))
-        return "\n".join(rows) + "\n"
+        return "\n".join(text[y * width : (y + 1) * width] for y in range(self.height)) + "\n"
 
 
 def render_frame(world: World, fb: FrameBuffer) -> FrameBuffer:

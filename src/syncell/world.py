@@ -66,6 +66,7 @@ class MeasurementContext:
     reduction; ``chosen`` holds the elected cell id and ``chosen_state`` the
     elected basic state. ``measure`` and ``chosen_state`` may be shared with
     a twin context (entanglement); ``signal`` and ``chosen`` never are.
+    ``elector_spawned`` is set once the context's one elector is spawned.
 
     The trailing fields are an audit trail for collapse checks and carry no
     behavioral weight.
@@ -78,6 +79,7 @@ class MeasurementContext:
         "chosen_state",
         "serial",
         "spawn_velocity",
+        "elector_spawned",
         "live_count",
         "last_transmit",
         "last_reset",
@@ -98,6 +100,7 @@ class MeasurementContext:
         self.chosen_state = chosen_state
         self.serial = serial
         self.spawn_velocity = spawn_velocity
+        self.elector_spawned = False
         self.live_count = 0
         self.last_transmit = -1
         self.last_reset = -1
@@ -158,11 +161,6 @@ class Grid:
     def cell(self, x: int, y: int) -> Cell:
         return self._cells[y * self.width + x]
 
-    def kind_at(self, x: int, y: int) -> CellKind:
-        if 0 <= x < self.width and 0 <= y < self.height:
-            return self._cells[y * self.width + x].kind
-        return BRICK
-
     def in_range(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
@@ -201,6 +199,7 @@ class World:
         # cell -> context registered when the cell became visible
         self.visible: dict[Cell, MeasurementContext] = {}
         self.particles: list = []
+        self.particle_starts: list[int] = []  # first instant each particle moves
         self.sources: list = []
         self.detectors: list = []
         self.stats = RunStats()
@@ -254,10 +253,15 @@ class World:
             c.ctx.last_transmit = self.sched.clock
 
     def add_particle(self, p) -> None:
-        from .particles import particle_behavior
+        """Register a particle, to move from the next instant to start on; the
+        stepper is spawned on the first birth, so particle-free worlds go quiet."""
+        from .particles import particle_stepper
 
+        sched = self.sched
+        if not self.particles:
+            sched.spawn(particle_stepper(self))
         self.particles.append(p)
-        self.sched.spawn(particle_behavior(self, p))
+        self.particle_starts.append(sched.clock + 1 if sched._active else sched.clock)
 
     # -- observation helpers ------------------------------------------------
 
@@ -309,8 +313,8 @@ def increm_state(world: World, c: Cell) -> None:
 # -- triggering ---------------------------------------------------------------
 
 
-def awake_neighbour(world: World, c: Cell, ix: int, iy: int) -> None:
-    """Trigger the cell at the given offset; walls and off-grid are no-ops."""
+def awake_neighbour(world: World, c: Cell, ix: int, iy: int, a: Activation) -> None:
+    """Trigger the cell at the given offset with ``a``; no-op on walls/off-grid."""
     x = c.x + ix
     y = c.y + iy
     if not world.grid.in_range(x, y):
@@ -318,7 +322,7 @@ def awake_neighbour(world: World, c: Cell, ix: int, iy: int) -> None:
     target = world.grid.cell(x, y)
     if target.kind is BRICK:
         return
-    world.sched.generate(target.trigger, Activation(c.kind, c.basic_state, c.ctx))
+    world.sched.generate(target.trigger, a)
 
 
 def awake_neighbourhood(world: World, c: Cell) -> None:
@@ -330,9 +334,9 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
     else:
         raise ValueError(f"cell at ({c.x},{c.y}) has no direction to transmit in")
     world.note_transmit(c)
-    awake_neighbour(world, c, -1, dy)
-    awake_neighbour(world, c, 0, dy)
-    awake_neighbour(world, c, 1, dy)
+    a = Activation(c.kind, c.basic_state, c.ctx)
+    for ix in (-1, 0, 1):
+        awake_neighbour(world, c, ix, dy, a)
 
 
 def combine(world: World, c: Cell, a: Activation) -> None:

@@ -18,7 +18,7 @@ from syncell import COOPERATE, FrameBuffer, Holder, UP, World
 from syncell.cli import expected_distribution, main, run_world
 from syncell.kernel import Await, Collect, Scheduler
 from syncell.measure import REDUCE_WINDOW
-from syncell.particles import RealParticle, bounce_step, inertia_step
+from syncell.particles import RealParticle, step_particle
 from syncell.scenario import (
     SourceSpec,
     build_world,
@@ -388,11 +388,11 @@ def test_criterion_7_youngs_properties():
 def test_criterion_8_particle_containment():
     t0 = time.monotonic()
     w = World(23, 17)
+    cells = list(w.grid.cells())
     p = RealParticle(5.5, 8.5, 1.0, -1.0, 3)
     for _ in range(10_000):
-        inertia_step(p)
-        bounce_step(p, w.grid)
-        assert w.grid.kind_at(int(p.fx), int(p.fy)) is not BRICK
+        step_particle(p, cells, w.grid.width, w.grid.height)
+        assert w.grid.cell(int(p.fx), int(p.fy)).kind is not BRICK
         assert 1.0 <= p.fx < 22.0 and 1.0 <= p.fy < 16.0
         assert (abs(p.vx), abs(p.vy)) == (1.0, 1.0), "speed magnitude must be conserved"
     elapsed = time.monotonic() - t0

@@ -431,3 +431,36 @@ def test_property_buffers_are_reset_at_every_instant_boundary(gens):
         sched.run_instant()
         for e in events:
             assert e.present is False and e.values == []
+
+
+def test_instant_start_admits_resumed_and_spawned_behaviors_in_spawn_id_order():
+    s = Scheduler()
+    e = s.new_event()
+    order = []
+
+    def collector():  # bid 0: resumes from Collect
+        yield Collect(e)
+        order.append("collector")
+
+    def cooperator():  # bid 1: resumes from COOPERATE
+        yield COOPERATE
+        order.append("cooperator")
+
+    def spawner():  # bid 2: spawns bid 3 during instant 0
+        s.spawn(child())
+        yield Await(s.new_event())
+
+    def child():
+        order.append("child")
+        yield Await(s.new_event())
+
+    def late():  # bid 4: spawned between instants
+        order.append("late")
+        yield Await(s.new_event())
+
+    for gen in (collector(), cooperator(), spawner()):
+        s.spawn(gen)
+    s.run_instant()
+    s.spawn(late())
+    s.run_instant()
+    assert order == ["collector", "cooperator", "child", "late"]

@@ -1,10 +1,13 @@
 """Choice, detectors, and the collapse protocol."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from syncell import COOPERATE, Holder, UP, World
+from syncell import COOPERATE, Holder, UP, World, load_scenario
+from syncell.cli import run_world
 from syncell.measure import REDUCE_WINDOW, choose, set_chosen_state
 from syncell.scenario import (
     ScenarioSpec,
@@ -13,6 +16,8 @@ from syncell.scenario import (
     build_world,
     start_sources,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_choose_singleton_and_membership():
@@ -199,3 +204,22 @@ def test_chooser_leaves_an_existing_choice_alone():
     w.run(80)
     [red] = w.stats.reductions
     assert red.cell_id == forced["id"]
+
+
+@pytest.mark.parametrize("name,contexts_per_collapse", [("single.scn", 1), ("entangled.scn", 2)])
+def test_one_elector_per_measured_context(name, contexts_per_collapse):
+    spec = load_scenario(SCENARIOS / name)
+    w = build_world(spec)
+    spawned = Counter()
+    spawn = w.sched.spawn
+
+    def counting_spawn(gen):
+        spawned[gen.__name__] += 1
+        return spawn(gen)
+
+    w.sched.spawn = counting_spawn
+    run_world(w, spec.run_length)
+    collapses = w.detectors[0].detections
+    assert collapses > 0
+    assert len(w.stats.reductions) == contexts_per_collapse * collapses
+    assert spawned["choose_in_superposition"] == contexts_per_collapse * collapses

@@ -1,9 +1,9 @@
-"""Inertia, bouncing, and containment."""
+"""Inertia, bouncing, containment, and the particle stepper."""
 
 import pytest
 
-from syncell import DOWN, UP, World
-from syncell.particles import RealParticle, bounce_step, inertia_step
+from syncell import COOPERATE, DOWN, UP, World
+from syncell.particles import RealParticle, step_particle
 from syncell.scenario import (
     ScenarioSpec,
     SourceSpec,
@@ -14,19 +14,27 @@ from syncell.scenario import (
 from syncell.world import BRICK
 
 
+def stepper_for(w):
+    """step_particle bound to the world's grid, as the stepper calls it."""
+    cells = list(w.grid.cells())
+    return lambda p: step_particle(p, cells, w.grid.width, w.grid.height)
+
+
 def test_inertia_moves_by_velocity():
+    step = stepper_for(World(20, 20))
     p = RealParticle(5.0, 5.0, 0.0, -1.0, 0)
-    inertia_step(p)
+    step(p)
     assert (p.fx, p.fy) == (5.0, 4.0)
     q = RealParticle(5.0, 5.0, 0.0, 0.0, 0)
-    inertia_step(q)
+    step(q)
     assert (q.fx, q.fy) == (5.0, 5.0)
 
 
 def test_inertia_is_linear_over_steps():
+    step = stepper_for(World(20, 20))
     p = RealParticle(10.5, 15.5, 0.0, -1.0, 0)
     for _ in range(10):
-        inertia_step(p)
+        step(p)
     assert p.fy == 5.5
 
 
@@ -36,18 +44,16 @@ def test_speed_components_above_one_are_rejected():
 
 
 def test_bounce_flips_the_offending_component():
-    w = World(9, 9)
+    step = stepper_for(World(9, 9))
     p = RealParticle(4.5, 1.5, 0.0, -1.0, 0)
-    inertia_step(p)  # would enter the top border row
-    bounce_step(p, w.grid)
+    step(p)  # would enter the top border row
     assert p.vy == 1.0 and p.fy == 1.5
 
 
 def test_corner_hit_flips_both_components():
-    w = World(9, 9)
+    step = stepper_for(World(9, 9))
     p = RealParticle(1.5, 1.5, -1.0, -1.0, 0)
-    inertia_step(p)
-    bounce_step(p, w.grid)
+    step(p)
     assert (p.vx, p.vy) == (1.0, 1.0)
     assert (p.fx, p.fy) == (1.5, 1.5)
 
@@ -57,30 +63,28 @@ def test_interior_wall_reflects_too():
     for y in range(15):
         w.grid.set_brick(7, y)
     p = RealParticle(6.5, 7.5, 1.0, 0.0, 0)
-    inertia_step(p)
-    bounce_step(p, w.grid)
+    stepper_for(w)(p)
     assert p.vx == -1.0 and p.fx == 6.5
 
 
 def test_long_run_containment_with_conserved_speed():
     w = World(23, 17)
+    step = stepper_for(w)
     p = RealParticle(5.5, 8.5, 1.0, -1.0, 2)
     for _ in range(10_000):
-        inertia_step(p)
-        bounce_step(p, w.grid)
+        step(p)
         assert 1.0 <= p.fx < 22.0 and 1.0 <= p.fy < 16.0
-        assert w.grid.kind_at(int(p.fx), int(p.fy)) is not BRICK
+        assert w.grid.cell(int(p.fx), int(p.fy)).kind is not BRICK
         assert (abs(p.vx), abs(p.vy)) == (1.0, 1.0)
 
 
 def test_trajectory_is_deterministic():
     def track():
-        w = World(13, 13)
+        step = stepper_for(World(13, 13))
         p = RealParticle(3.5, 3.5, 1.0, -1.0, 0)
         out = []
         for _ in range(50):
-            inertia_step(p)
-            bounce_step(p, w.grid)
+            step(p)
             out.append((p.fx, p.fy, p.vx, p.vy))
         return out
 
@@ -107,3 +111,82 @@ def test_spawn_direction_sets_the_initial_velocity():
     assert (up.vx, up.vy) == (0.0, -1.0)
     down = measured_particles(DOWN, 22)
     assert (down.vx, down.vy) == (0.0, 1.0)
+
+
+def test_bounce_restores_the_exact_pre_step_position():
+    # (7.95 + 0.1) - 0.1 != 7.95: backing the velocity out would drift
+    assert (7.95 + 0.1) - 0.1 != 7.95
+    step = stepper_for(World(9, 9))
+    p = RealParticle(7.95, 4.5, 0.1, 0.0, 0)
+    step(p)  # 8.05 is in the right border column
+    assert (p.fx, p.vx) == (7.95, -0.1)
+
+
+def test_newborn_moves_one_velocity_step_the_instant_after_birth():
+    spec = ScenarioSpec(
+        width=31,
+        height=31,
+        sources=[SourceSpec(x=15, y=27, state=0, shots=1)],
+        detectors=[DetectorSpec(x0=1, y0=17, x1=29, y1=17)],
+        seed=3,
+    )
+    w = build_world(spec)
+    start_sources(w)
+    while not w.particles:
+        w.sched.run_instant()
+    [red] = w.stats.reductions
+    [p] = w.particles
+    cx, cy = red.cell_id % 31 + 0.5, red.cell_id // 31 + 0.5
+    assert red.instant == w.sched.clock - 1
+    assert (p.fx, p.fy) == (cx, cy)  # not moved in its birth instant
+    w.sched.run_instant()
+    assert (p.fx, p.fy) == (cx + p.vx, cy + p.vy)
+
+
+def test_stepper_moves_each_particle_from_the_instant_after_its_birth():
+    w = World(40, 40)
+    sched = w.sched
+    p1, p2, p3 = (RealParticle(x + 0.5, 5.5, 0.0, 1.0, 0) for x in (5, 10, 15))
+
+    def born_late():  # spawned after the stepper, so it runs after it
+        while sched.clock < 3:
+            yield COOPERATE
+        w.add_particle(p3)
+
+    def born_early():  # spawned before the stepper, so it runs before it
+        w.add_particle(p1)
+        sched.spawn(born_late())
+        while sched.clock < 3:
+            yield COOPERATE
+        w.add_particle(p2)
+
+    sched.spawn(born_early())
+    for _ in range(6):
+        sched.run_instant()
+    # after instant 5: p1 moved in instants 1..5, p2 and p3 in 4..5
+    assert [p.fy for p in (p1, p2, p3)] == [10.5, 7.5, 7.5]
+
+
+def test_particle_added_between_instants_moves_in_the_next_instant():
+    w = World(40, 40)
+    sched = w.sched
+    sched.run_instant()
+    sched.run_instant()
+    p1 = RealParticle(5.5, 5.5, 0.0, 1.0, 0)
+    w.add_particle(p1)  # between instants: the stepper's first instant is 2
+    sched.run_instant()
+    assert p1.fy == 6.5
+    p2 = RealParticle(10.5, 5.5, 0.0, 1.0, 0)
+    w.add_particle(p2)  # the stepper is already running
+    sched.run_instant()
+    assert (p1.fy, p2.fy) == (7.5, 6.5)
+
+
+def test_particle_free_world_goes_quiet():
+    spec = ScenarioSpec(
+        width=31, height=31, sources=[SourceSpec(x=15, y=27, state=0, shots=2, period=10)]
+    )
+    w = build_world(spec)
+    start_sources(w)
+    executed = w.run(500)
+    assert executed < 500 and w.sched.is_quiet() and w.particles == []

@@ -1,6 +1,11 @@
 """Frame buffer encodings and remanence."""
 
+import random
+
+import pytest
+
 from syncell import COOPERATE, FrameBuffer, Holder, UP, World, render_frame
+from syncell.particles import RealParticle
 from syncell.render import ASCII_CHARS, PALETTE, STATE0, WALL
 from syncell.scenario import ScenarioSpec, SourceSpec, DetectorSpec, build_world, fire, start_sources
 
@@ -97,3 +102,28 @@ def test_particles_are_painted_with_their_state_color():
     fb = render_frame(w, FrameBuffer(25, 25))
     [p] = w.particles
     assert fb.buf[int(p.fy) * 25 + int(p.fx)] == STATE0 + p.state
+
+
+def test_encodings_match_a_per_pixel_reference():
+    fb = FrameBuffer(13, 7)
+    rng = random.Random(5)
+    fb.buf[:] = bytes(rng.randrange(len(PALETTE)) for _ in range(13 * 7))
+    body = b"".join(bytes(PALETTE[i]) for i in fb.buf)
+    assert fb.to_ppm_bytes() == b"P6\n13 7\n255\n" + body
+    rows = ["".join(ASCII_CHARS[i] for i in fb.buf[y * 13 : (y + 1) * 13]) for y in range(7)]
+    assert fb.to_ascii() == "\n".join(rows) + "\n"
+
+
+def test_encoders_reject_an_index_past_the_palette():
+    fb = FrameBuffer(4, 3)
+    fb.buf[5] = len(PALETTE)
+    with pytest.raises(IndexError):
+        fb.to_ppm_bytes()
+    with pytest.raises(IndexError):
+        fb.to_ascii()
+    # a base-7 world paints state 6 as STATE0 + 6, which has no color
+    w = World(9, 9, base=7)
+    w.particles.append(RealParticle(4.5, 4.5, 0.0, 0.0, 6))
+    fb = render_frame(w, FrameBuffer(9, 9))
+    with pytest.raises(IndexError):
+        fb.to_ppm_bytes()

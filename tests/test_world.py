@@ -94,8 +94,8 @@ def test_awake_neighbour_skips_bricks_and_carries_state():
     seen = {}
 
     def act():
-        awake_neighbour(w, c, 0, -1)  # brick: nothing generated
-        awake_neighbour(w, c, 1, -1)
+        awake_neighbour(w, c, 0, -1, Activation(c.kind, c.basic_state, c.ctx))  # brick: nothing generated
+        awake_neighbour(w, c, 1, -1, Activation(c.kind, c.basic_state, c.ctx))
         seen["open"] = list(open_target.trigger.values)
 
     in_active_phase(w, act)
@@ -110,8 +110,8 @@ def test_two_emitters_stack_activations_on_one_trigger():
     seen = {}
 
     def act():
-        awake_neighbour(w, a, 1, -1)
-        awake_neighbour(w, b, -1, -1)
+        awake_neighbour(w, a, 1, -1, Activation(a.kind, a.basic_state, a.ctx))
+        awake_neighbour(w, b, -1, -1, Activation(b.kind, b.basic_state, b.ctx))
         seen["values"] = list(target.trigger.values)
 
     in_active_phase(w, act)
