@@ -40,9 +40,8 @@ from .scenario import (
     fire,
     load_scenario,
     parse_scenario,
-    start_sources,
 )
-from .render import FrameBuffer, render_frame
+from .render import FrameBuffer
 from .stats import RunReport, frequency_table
 from .cli import expected_distribution, run_scenario
 
@@ -80,9 +79,7 @@ __all__ = [
     "frequency_table",
     "load_scenario",
     "parse_scenario",
-    "render_frame",
     "run_scenario",
-    "start_sources",
 ]
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import chain
 
 from .kernel import DivergenceError
 from .render import FrameBuffer
@@ -16,7 +17,6 @@ from .scenario import (
     build_world,
     load_scenario,
     parse_scenario,
-    start_sources,
 )
 from .stats import FrequencyRow, RunReport, frequency_csv, frequency_text
 from .world import World
@@ -34,7 +34,6 @@ def run_world(
     ascii_frames: bool = False,
 ) -> RunReport:
     """Drive a built world for up to ``instants`` instants and report."""
-    start_sources(world)
     fb = None
     writer = None
     if frames_dir is not None:
@@ -79,7 +78,6 @@ def expected_distribution(world: World, detector_index: int, instants: int):
     within ``instants``.
     """
     world.measure_enabled = False
-    start_sources(world)
     contact = None
     executed = 0
     while executed < instants and contact is None:
@@ -110,15 +108,16 @@ def _slit_variant(spec: ScenarioSpec, closed_indices: set[int]) -> ScenarioSpec:
     return replace(spec, slits=slits)
 
 
-def _variant_counts(args) -> list[int]:
+def _variant_counts(args) -> list[list[int]]:
     text, closed, seed, instants = args
     spec = _slit_variant(parse_scenario(text), closed)
-    report = run_scenario(spec, instants=instants, seed=seed)
-    totals = [0] * spec.base
-    for row in report.detector_counts:
-        for s, n in enumerate(row):
-            totals[s] += n
-    return totals
+    return run_scenario(spec, instants=instants, seed=seed).detector_counts
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` tasks: at most ``jobs``, ``tasks`` and
+    the CPU count. A pool starts all of its workers up front."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def compare_slits(
@@ -155,23 +154,19 @@ def compare_slits(
         for r in range(runs):
             tasks.append((text, closed, seed + r, instants))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_variant_counts, tasks))
     else:
         results = [_variant_counts(t) for t in tasks]
 
-    rows = []
-    base = spec.base
-    for vi, (label, _) in enumerate(variants):
-        totals = [0] * base
-        for r in range(runs):
-            for s, n in enumerate(results[vi * runs + r]):
-                totals[s] += n
-        grand = sum(totals)
-        fractions = [n / grand for n in totals] if grand else [0.0] * base
-        rows.append(FrequencyRow(label, fractions, grand))
-    return rows
+    return [
+        FrequencyRow.from_counts(
+            label, chain.from_iterable(results[vi * runs : (vi + 1) * runs]), spec.base
+        )
+        for vi, (label, _) in enumerate(variants)
+    ]
 
 
 # -- entry point ----------------------------------------------------------------
@@ -208,6 +203,10 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--out", default=None, metavar="FILE", help="write the CSV table")
 
     args = parser.parse_args(argv)
+    if args.instants is not None and args.instants < 0:
+        parser.error(f"--instants must be at least 0, got {args.instants}")
+    if args.command == "compare" and args.runs < 1:
+        parser.error(f"--runs must be at least 1, got {args.runs}")
     try:
         if args.command == "run":
             spec = load_scenario(args.scenario)

@@ -98,8 +98,3 @@ class FrameBuffer:
         text = self._checked_buf().translate(_ASCII_TABLE).decode("ascii")
         width = self.width
         return "\n".join(text[y * width : (y + 1) * width] for y in range(self.height)) + "\n"
-
-
-def render_frame(world: World, fb: FrameBuffer) -> FrameBuffer:
-    """Paint the world into the buffer and return it."""
-    return fb.paint(world)

@@ -1,4 +1,4 @@
-"""Scenario definition: geometry, sources, detectors, and emission schedules.
+"""Scenario definition: the text format, its specs, and the world they build.
 
 A scenario is a small line-based text file:
 
@@ -28,7 +28,8 @@ A scenario is a small line-based text file:
     entangled=false
     period=8            # instants between emissions
     shots=1
-    # vx= / vy= optionally override the spawned particles' velocity
+    # vx= / vy= optionally override the spawned particles' velocity, each
+    # within -1..1; an entangled source's back beam mirrors vy
 
     [run]
     instants=200
@@ -41,7 +42,10 @@ A scenario is a small line-based text file:
     y1=20
     kind=up
 
-Sections may repeat and appear in any order; keys are one per line.
+Sections may repeat and appear in any order; keys are one per line; repeated
+[grid] and [run] sections merge. ``build_world`` spawns one behavior per
+non-wall cell and per detector, and one ``emitter`` per source; the emitters
+fire their first shots in the first instant run.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import Await, COOPERATE, Event
+from .kernel import COOPERATE, Event
 from .measure import Detector, detector_behavior
 from .world import (
     Activation,
@@ -61,9 +65,12 @@ from .world import (
     MeasurementContext,
     UP,
     World,
+    direction_dy,
     opposite,
 )
 from .stats import digest_text
+
+MAX_CELLS = 1_000_000  # the largest grid build_world allocates
 
 
 class ScenarioError(Exception):
@@ -128,68 +135,50 @@ class ScenarioSpec:
 
 # -- parsing ------------------------------------------------------------------
 
-_SECTIONS = ("grid", "wall", "slit", "source", "detector", "run")
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_BOOL = (
+    {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}.__getitem__,
+    "true/false",
+)
+_KIND = ({"up": UP, "down": DOWN}.__getitem__, "up or down")
 
-
-def _parse_int(value: str, key: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: {key} expects an integer, got {value!r}")
-
-
-def _parse_float(value: str, key: str, lineno: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: {key} expects a number, got {value!r}")
-
-
-def _parse_bool(value: str, key: str, lineno: int) -> bool:
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"line {lineno}: {key} expects true/false, got {value!r}")
-
-
-def _parse_kind(value: str, key: str, lineno: int) -> CellKind:
-    if value == "up":
-        return UP
-    if value == "down":
-        return DOWN
-    raise ScenarioError(f"line {lineno}: {key} expects up or down, got {value!r}")
+# section -> key -> (converter, what the value must be)
+_KEYS = {
+    "grid": {"width": _INT, "height": _INT, "base": _INT},
+    "wall": dict.fromkeys(("x0", "y0", "x1", "y1"), _INT),
+    "slit": {"wall": _INT, "x0": _INT, "x1": _INT, "open": _BOOL},
+    "source": {
+        **dict.fromkeys(("x", "y", "state", "period", "shots"), _INT),
+        "direction": _KIND,
+        "entangled": _BOOL,
+        "vx": _FLOAT,
+        "vy": _FLOAT,
+    },
+    "detector": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _INT), "kind": _KIND},
+    "run": {"instants": _INT, "seed": _INT},
+}
+# the repeatable sections, one spec per section
+_RECORDS = {"wall": WallSpec, "slit": SlitSpec, "source": SourceSpec, "detector": DetectorSpec}
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text; raises ScenarioError with line numbers."""
-    grid: dict = {}
+    merged: dict[str, dict] = {"grid": {}, "run": {}}
+    records: dict[str, list] = {kind: [] for kind in _RECORDS}
     grid_line = 0
-    walls: list[WallSpec] = []
-    slits: list[SlitSpec] = []
-    sources: list[SourceSpec] = []
-    detectors: list[DetectorSpec] = []
-    run: dict = {}
     section = None
-    record: Optional[dict] = None
+    fields: dict = {}
+    record_line = 0
 
     def close_record():
-        nonlocal record
-        if record is None:
-            return
-        kind, fields, lineno = record["kind"], record["fields"], record["line"]
-        try:
-            if kind == "wall":
-                walls.append(WallSpec(line=lineno, **fields))
-            elif kind == "slit":
-                slits.append(SlitSpec(line=lineno, **fields))
-            elif kind == "source":
-                sources.append(SourceSpec(line=lineno, **fields))
-            elif kind == "detector":
-                detectors.append(DetectorSpec(line=lineno, **fields))
-        except TypeError as exc:
-            raise ScenarioError(f"line {lineno}: incomplete [{kind}] section ({exc})")
-        record = None
+        if section in _RECORDS:
+            try:
+                records[section].append(_RECORDS[section](line=record_line, **fields))
+            except TypeError as exc:
+                raise ScenarioError(
+                    f"line {record_line}: incomplete [{section}] section ({exc})"
+                )
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -199,82 +188,46 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if not line.endswith("]"):
                 raise ScenarioError(f"line {lineno}: malformed section header {line!r}")
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise ScenarioError(f"line {lineno}: unknown section [{name}]")
             close_record()
             section = name
-            if name == "grid":
-                grid_line = lineno
-            elif name in ("wall", "slit", "source", "detector"):
-                record = {"kind": name, "fields": {}, "line": lineno}
+            if name in _RECORDS:
+                fields, record_line = {}, lineno
+            else:
+                fields = merged[name]
+                if name == "grid":
+                    grid_line = lineno
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key=value, got {line!r}")
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-
-        if section == "grid":
-            if key in ("width", "height", "base"):
-                grid[key] = _parse_int(value, key, lineno)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown [grid] key {key!r}")
-        elif section == "run":
-            if key == "instants":
-                run["instants"] = _parse_int(value, key, lineno)
-            elif key == "seed":
-                run["seed"] = _parse_int(value, key, lineno)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown [run] key {key!r}")
-        elif section == "wall":
-            if key in ("x0", "y0", "x1", "y1"):
-                record["fields"][key] = _parse_int(value, key, lineno)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown [wall] key {key!r}")
-        elif section == "slit":
-            if key in ("wall", "x0", "x1"):
-                record["fields"][key] = _parse_int(value, key, lineno)
-            elif key == "open":
-                record["fields"]["open"] = _parse_bool(value, key, lineno)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown [slit] key {key!r}")
-        elif section == "source":
-            if key in ("x", "y", "state", "period", "shots"):
-                record["fields"][key] = _parse_int(value, key, lineno)
-            elif key == "direction":
-                record["fields"]["direction"] = _parse_kind(value, key, lineno)
-            elif key == "entangled":
-                record["fields"]["entangled"] = _parse_bool(value, key, lineno)
-            elif key in ("vx", "vy"):
-                record["fields"][key] = _parse_float(value, key, lineno)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown [source] key {key!r}")
-        elif section == "detector":
-            if key in ("x0", "y0", "x1", "y1"):
-                record["fields"][key] = _parse_int(value, key, lineno)
-            elif key == "kind":
-                record["fields"]["kind"] = _parse_kind(value, key, lineno)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown [detector] key {key!r}")
+        if key not in _KEYS[section]:
+            raise ScenarioError(f"line {lineno}: unknown [{section}] key {key!r}")
+        convert, expects = _KEYS[section][key]
+        try:
+            fields[key] = convert(value)
+        except (ValueError, KeyError):
+            raise ScenarioError(f"line {lineno}: {key} expects {expects}, got {value!r}")
 
     close_record()
+    grid, run = merged["grid"], merged["run"]
     if "width" not in grid or "height" not in grid:
         raise ScenarioError(
             f"line {grid_line or 1}: a [grid] section with width and height is required"
         )
-    spec = ScenarioSpec(
-        width=grid["width"],
-        height=grid["height"],
-        base=grid.get("base", 6),
-        walls=walls,
-        slits=slits,
-        sources=sources,
-        detectors=detectors,
+    return ScenarioSpec(
+        **grid,
+        walls=records["wall"],
+        slits=records["slit"],
+        sources=records["source"],
+        detectors=records["detector"],
         run_length=run.get("instants", 0),
         seed=run.get("seed", 0),
         digest=digest_text(text),
     )
-    return spec
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -283,21 +236,7 @@ def load_scenario(path) -> ScenarioSpec:
     return parse_scenario(text)
 
 
-# -- source records and behaviors ----------------------------------------------
-
-
-@dataclass
-class SourceRecord:
-    x: int
-    y: int
-    direction: CellKind
-    initial_state: int
-    entangled: bool
-    period: int
-    shots: int
-    go: Event
-    vx: Optional[float] = None
-    vy: Optional[float] = None
+# -- emission -----------------------------------------------------------------
 
 
 def fire(
@@ -325,61 +264,39 @@ def fire(
     return ctx
 
 
-def _source_velocity(src: SourceRecord, direction: CellKind) -> Optional[tuple]:
-    if src.vx is None and src.vy is None:
-        return None
-    from .world import direction_dy
-
-    vx = src.vx if src.vx is not None else 0.0
-    vy = src.vy if src.vy is not None else float(direction_dy(direction))
-    if direction is not src.direction:
-        vy = -vy  # the mirror beam spawns mirrored
-    return (vx, vy)
+def _beam_directions(spec: SourceSpec) -> tuple[CellKind, ...]:
+    if spec.entangled:
+        return (spec.direction, opposite(spec.direction))
+    return (spec.direction,)
 
 
-def source_behavior(world: World, src: SourceRecord):
-    """Fire the adjacent cell on every go, one independent context per shot."""
-    cell = world.grid.cell_in_direction(src.x, src.y, src.direction)
-    velocity = _source_velocity(src, src.direction)
-    while True:
-        yield Await(src.go)
-        fire(
-            world,
-            cell,
-            src.initial_state,
-            src.direction,
-            world.sched.new_event(),
-            Holder(-1),
-            velocity,
-        )
-        yield COOPERATE
+def emitter(world: World, spec: SourceSpec):
+    """Fire the source's beams ``shots`` times, ``period`` instants apart.
 
-
-def dual_source_behavior(world: World, src: SourceRecord):
-    """Fire two opposite beams per go, sharing measurement and outcome."""
-    fore = src.direction
-    back = opposite(src.direction)
-    fore_cell = world.grid.cell_in_direction(src.x, src.y, fore)
-    back_cell = world.grid.cell_in_direction(src.x, src.y, back)
-    fore_velocity = _source_velocity(src, fore)
-    back_velocity = _source_velocity(src, back)
-    while True:
-        shared_measure = world.sched.new_event()
-        shared_state = Holder(-1)
-        yield Await(src.go)
-        fire(world, fore_cell, src.initial_state, fore, shared_measure, shared_state, fore_velocity)
-        fire(world, back_cell, src.initial_state, back, shared_measure, shared_state, back_velocity)
-        yield COOPERATE
-
-
-def schedule_go(world: World, sources: list[SourceRecord], period: int, shots: int):
-    """Generate the sources' go events ``shots`` times, ``period`` apart."""
-    if period < 1:
-        raise ScenarioError("emission period must be at least 1 instant")
-    for _ in range(shots):
-        for src in sources:
-            world.sched.generate(src.go, ())
-        for _ in range(period):
+    The beams of one shot share a fresh measurement event and outcome
+    holder. With a velocity override, a missing ``vx`` is 0 and a missing
+    ``vy`` is the beam's own direction; a given ``vy`` is the first beam's,
+    mirrored for the back beam. The emitter ends ``period`` instants after
+    its last shot.
+    """
+    beams = []
+    for direction in _beam_directions(spec):
+        velocity = None
+        if spec.vx is not None or spec.vy is not None:
+            vx = 0.0 if spec.vx is None else spec.vx
+            if spec.vy is None:
+                vy = float(direction_dy(direction))
+            else:
+                vy = spec.vy if direction is spec.direction else -spec.vy
+            velocity = (vx, vy)
+        cell = world.grid.cell_in_direction(spec.x, spec.y, direction)
+        beams.append((cell, direction, velocity))
+    sched = world.sched
+    for _ in range(spec.shots):
+        measure, outcome = sched.new_event(), Holder(-1)
+        for cell, direction, velocity in beams:
+            fire(world, cell, spec.state, direction, measure, outcome, velocity)
+        for _ in range(spec.period):
             yield COOPERATE
 
 
@@ -395,13 +312,16 @@ def _check_inside(spec: ScenarioSpec, x: int, y: int, what: str, line: int) -> N
 
 
 def build_world(spec: ScenarioSpec) -> World:
-    """Construct the world: geometry, one behavior per cell, sources, detectors.
-
-    The emission schedules are not started here; call ``start_sources`` (or
-    use ``cli.run_scenario``) to begin firing.
-    """
+    """Construct the world: geometry, one behavior per cell, one emitter per
+    source, one behavior per detector. The first shots fire in instant 0."""
     if not (2 <= spec.base <= 6):
         raise ScenarioError(f"base must be within 2..6, got {spec.base}")
+    if spec.width < 3 or spec.height < 3:
+        raise ScenarioError(f"grid {spec.width}x{spec.height} is smaller than 3x3")
+    if spec.width * spec.height > MAX_CELLS:
+        raise ScenarioError(
+            f"grid {spec.width}x{spec.height} has more than {MAX_CELLS:,} cells"
+        )
     world = World(spec.width, spec.height, seed=spec.seed, base=spec.base)
     world.scenario_digest = spec.digest
 
@@ -457,31 +377,20 @@ def build_world(spec: ScenarioSpec) -> World:
             raise ScenarioError(f"source #{i} (line {s.line}): period must be >= 1")
         if s.shots < 0:
             raise ScenarioError(f"source #{i} (line {s.line}): shots must be >= 0")
-        directions = [s.direction]
-        if s.entangled:
-            directions.append(opposite(s.direction))
-        for direction in directions:
+        for name, v in (("vx", s.vx), ("vy", s.vy)):
+            if v is not None and not (-1.0 <= v <= 1.0):
+                raise ScenarioError(
+                    f"source #{i} (line {s.line}): {name}={v} is outside -1.0..1.0"
+                )
+        for direction in _beam_directions(s):
             target = grid.cell_in_direction(s.x, s.y, direction)
             if target.kind is BRICK:
                 raise ScenarioError(
                     f"source #{i} (line {s.line}): fired cell "
                     f"({target.x},{target.y}) is a wall"
                 )
-        record = SourceRecord(
-            s.x,
-            s.y,
-            s.direction,
-            s.state,
-            s.entangled,
-            s.period,
-            s.shots,
-            world.sched.new_event(),
-            s.vx,
-            s.vy,
-        )
-        world.sources.append(record)
-        behavior = dual_source_behavior if s.entangled else source_behavior
-        world.sched.spawn(behavior(world, record))
+        world.sources.append(s)
+        world.sched.spawn(emitter(world, s))
 
     for i, d in enumerate(spec.detectors):
         for x, y in ((d.x0, d.y0), (d.x1, d.y1)):
@@ -506,11 +415,3 @@ def build_world(spec: ScenarioSpec) -> World:
 
     return world
 
-
-def start_sources(world: World) -> None:
-    """Spawn one emission schedule per source, in source order. Idempotent."""
-    if getattr(world, "_sources_started", False):
-        return
-    world._sources_started = True
-    for src in world.sources:
-        world.sched.spawn(schedule_go(world, [src], src.period, src.shots))

@@ -147,6 +147,17 @@ class FrequencyRow:
     fractions: list[float]
     total: int
 
+    @classmethod
+    def from_counts(cls, label: str, count_rows, base: int) -> "FrequencyRow":
+        """Per-state fractions of the counts summed over ``count_rows``; no
+        counts at all give a row of zeros."""
+        totals = [0] * base
+        for row in count_rows:
+            for s, n in enumerate(row):
+                totals[s] += n
+        grand = sum(totals)
+        return cls(label, [n / grand for n in totals] if grand else [0.0] * base, grand)
+
     @property
     def empty(self) -> bool:
         return self.total == 0
@@ -159,20 +170,12 @@ def frequency_table(reports, labels=None) -> list[FrequencyRow]:
     non-empty row sum to 1 up to float rounding; a report with zero resolved
     detections yields a row of zeros with ``empty`` set.
     """
-    rows = []
-    for i, report in enumerate(reports):
-        label = labels[i] if labels else f"run{i}"
-        base = report.base
-        totals = [0] * base
-        for det_row in report.detector_counts:
-            for s, n in enumerate(det_row):
-                totals[s] += n
-        grand = sum(totals)
-        if grand == 0:
-            rows.append(FrequencyRow(label, [0.0] * base, 0))
-        else:
-            rows.append(FrequencyRow(label, [n / grand for n in totals], grand))
-    return rows
+    return [
+        FrequencyRow.from_counts(
+            labels[i] if labels else f"run{i}", report.detector_counts, report.base
+        )
+        for i, report in enumerate(reports)
+    ]
 
 
 def frequency_csv(rows: list[FrequencyRow], base: int = 6) -> str:

@@ -24,7 +24,6 @@ from syncell.scenario import (
     build_world,
     fire,
     load_scenario,
-    start_sources,
 )
 from syncell.world import BRICK
 
@@ -201,7 +200,6 @@ def test_criterion_3_seed_independent_evolution():
 
     def frames_and_outcome(seed):
         w = build_world(replace(one_shot, seed=seed))
-        start_sources(w)
         fb = FrameBuffer(w.grid.width, w.grid.height)
         frames = []
         for _ in range(66):
@@ -330,7 +328,6 @@ def test_criterion_7_youngs_properties():
     def slit_variant(open_indices):
         slits = [replace(s, open=(i in open_indices)) for i, s in enumerate(base.slits)]
         w = build_world(replace(base, slits=slits))
-        start_sources(w)
         return w
 
     w_left = slit_variant({0})
@@ -346,7 +343,6 @@ def test_criterion_7_youngs_properties():
         sources=[SourceSpec(x=slit_x, y=slit_y + 1, state=(slit_state - 1) % 6, shots=1)],
     )
     w_twin = build_world(twin)
-    start_sources(w_twin)
     for k in range(0, last_gen - g_slit + 1):
         assert _gen_snapshot(w_twin, k) == left[g_slit + k], f"offset {k}"
 

@@ -1,10 +1,19 @@
 """Command-line surface: run, compare, exit codes, file outputs."""
 
+import hashlib
 import os
 
 import pytest
 
-from syncell.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_SCENARIO, compare_slits, main
+from syncell.cli import (
+    EXIT_DIVERGENCE,
+    EXIT_OK,
+    EXIT_SCENARIO,
+    compare_slits,
+    main,
+    worker_count,
+)
+from syncell.stats import frequency_csv, frequency_text
 
 SMALL = """\
 [grid]
@@ -195,6 +204,60 @@ def test_compare_merges_runs_and_matches_parallel_execution():
         (r.label, r.fractions, r.total) for r in par
     ]
     assert all(r.total == 80 for r in seq)
+
+
+def test_compare_output_is_pinned():
+    rows = compare_slits(TWO_SLIT, seed=3, runs=2) + compare_slits(TWO_SLIT, instants=5)
+    blob = frequency_csv(rows) + frequency_text(rows)
+    assert rows[2].empty and rows[3].empty
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "c5706fdcc0aafd5466560683362e1d47c80c8a5ce18e93f1b88cde898118a710"
+    )
+
+
+def test_worker_count_never_exceeds_tasks_or_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(1, 10) == 1
+    assert worker_count(64, 10) == 4
+    assert worker_count(64, 3) == 3
+    assert worker_count(2, 10) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(64, 10) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["run", "--instants", "-1"], "--instants must be at least 0, got -1"),
+        (["compare", "--instants", "-5"], "--instants must be at least 0, got -5"),
+        (["compare", "--runs", "0"], "--runs must be at least 1, got 0"),
+        (["compare", "--runs", "two"], "--runs: invalid int value: 'two'"),
+    ],
+)
+def test_out_of_range_counts_exit_2(small_file, capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--scenario", small_file] + argv[1:])
+    assert exc.value.code == EXIT_SCENARIO
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        (SMALL.replace("shots=2", "shots=2\nvx=2"), "source #0 (line 5): vx=2.0 is outside"),
+        (SMALL.replace("shots=2", "shots=2\nvy=nan"), "source #0 (line 5): vy=nan is outside"),
+        (
+            SMALL.replace("width=31\nheight=31", "width=100000\nheight=100000"),
+            "grid 100000x100000 has more than 1,000,000 cells",
+        ),
+    ],
+    ids=["vx", "vy-nan", "huge-grid"],
+)
+def test_unbuildable_scenarios_exit_2(tmp_path, capsys, text, fragment):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text)
+    assert main(["run", "--scenario", str(scn)]) == EXIT_SCENARIO
+    assert fragment in capsys.readouterr().err
 
 
 def test_compare_needs_an_open_slit(tmp_path):

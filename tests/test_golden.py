@@ -1,9 +1,10 @@
 """Golden outputs of the shipped scenarios, pinned byte for byte.
 
-Each pin is the SHA-256 of the text report, the counts CSV and the final
-``(fx, fy, vx, vy, state)`` of every real particle, in birth order. A change
-to the engine that claims to leave behavior untouched must leave every pin
-as it is.
+The output pins are the SHA-256 of the text report, the counts CSV and the
+final ``(fx, fy, vx, vy, state)`` of every real particle, in birth order. The
+per-instant pins chain a SHA-256 over the state after every instant, so they
+also catch a change that the final outputs happen to hide. A change to the
+engine that claims to leave behavior untouched must leave every pin as it is.
 """
 
 import hashlib
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from syncell import build_world, load_scenario
+from syncell import build_world, load_scenario, parse_scenario
+from syncell.scenario import ScenarioSpec, SourceSpec
 from syncell.cli import run_world
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -39,3 +41,132 @@ def run_digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_shipped_scenario_output_is_pinned(name, seed):
     assert run_digest(name, seed) == GOLDEN[(name, seed)]
+
+
+# -- per-instant state digests --------------------------------------------------
+
+# Two sources with different periods and states: one plain source with a
+# non-dyadic velocity override, one entangled source without overrides; an
+# up detector above both and a down detector below the entangled pair.
+MIXED = """\
+[grid]
+width=41
+height=61
+
+[source]
+x=12
+y=44
+state=1
+direction=up
+period=30
+shots=6
+vx=0.3
+vy=-0.7
+
+[source]
+x=28
+y=30
+state=2
+direction=up
+entangled=true
+period=45
+shots=4
+
+[detector]
+x0=1
+y0=10
+x1=39
+y1=10
+kind=up
+
+[detector]
+x0=1
+y0=50
+x1=39
+y1=50
+kind=down
+
+[run]
+instants=400
+seed=5
+"""
+
+
+def trace_digest(spec, instants: int) -> tuple[int, str]:
+    """Run ``spec`` through ``run_world`` and chain a SHA-256 over every instant.
+
+    Each link hashes the previous link with the instant's canonical state:
+    sorted visible ``(x, y, state, ctx serial)``, every particle's
+    ``(fx, fy, vx, vy, state)`` in birth order, the detections new in the
+    instant ``(instant, detector, ctx serial, size, counts, chosen)`` and the
+    reductions new in it ``(instant, ctx serial, cell id, state)``. The last
+    link also covers every detection's final chosen state. Event ids are left
+    out: they number allocations, not behavior. Returns the instants executed
+    and the final link.
+    """
+    world = build_world(spec)
+    stats = world.stats
+    sched = world.sched
+    run_instant = sched.run_instant
+    seen = {"link": b"", "detections": 0, "reductions": 0}
+
+    def traced():
+        report = run_instant()
+        visible = sorted(
+            (c.x, c.y, c.basic_state, ctx.serial) for c, ctx in world.visible.items()
+        )
+        particles = [(p.fx, p.fy, p.vx, p.vy, p.state) for p in world.particles]
+        detections = [
+            (d.instant, d.detector, d.ctx_serial, d.size, d.state_counts, d.chosen_state)
+            for d in stats.detections[seen["detections"] :]
+        ]
+        reductions = [
+            (r.instant, r.ctx_serial, r.cell_id, r.state)
+            for r in stats.reductions[seen["reductions"] :]
+        ]
+        seen["detections"] = len(stats.detections)
+        seen["reductions"] = len(stats.reductions)
+        blob = repr((report.instant, visible, particles, detections, reductions))
+        seen["link"] = hashlib.sha256(seen["link"] + blob.encode()).digest()
+        return report
+
+    sched.run_instant = traced
+    executed = run_world(world, instants).instants
+    chosen = repr([d.chosen_state for d in stats.detections])
+    return executed, hashlib.sha256(seen["link"] + chosen.encode()).hexdigest()
+
+
+def _mixed(detectors: bool):
+    spec = parse_scenario(MIXED)
+    return spec if detectors else replace(spec, detectors=[])
+
+
+TRACE_CASES = {
+    "single": (lambda: load_scenario(SCENARIOS / "single.scn"), 220),
+    "entangled": (lambda: load_scenario(SCENARIOS / "entangled.scn"), 1000),
+    "young200": (lambda: load_scenario(SCENARIOS / "young200.scn"), 400),
+    "mixed": (lambda: _mixed(True), 400),
+    "mixed-quiet": (lambda: _mixed(False), 1000),
+    # the emitter outlives its last wavefront: the run goes quiet on its schedule
+    "lone-quiet": (
+        lambda: ScenarioSpec(
+            width=15, height=15, sources=[SourceSpec(x=7, y=12, period=50, shots=2)]
+        ),
+        1000,
+    ),
+}
+
+TRACE_GOLDEN = {
+    "entangled": (1000, "52b6366e1357d871d5edb035f387396e0834f007905bb2c7603bebdaa4bcbc85"),
+    "mixed": (400, "9f077a46b23340f2bfeec3bdfe977d8d0cde6827aa481ff73dd4a9e574ea12d0"),
+    "lone-quiet": (101, "a114b6cf88776e74f4d2fc707ee36e7a640d5f8a2cc900744c318b9249cc42a3"),
+    "mixed-quiet": (237, "5b6c3f5f550bc81349673af16d6b19ada634455f172ba46e344db9ad4d420cdc"),
+    "single": (220, "38da3f45d9b67d3dc1aa43341ddc0eb3fb8367baabf842ef8038481dc1798b91"),
+    "young200": (400, "03ee030b612c40f90c77bb8766918d66571f671955a54fc74c452cf92fcbaa4a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_per_instant_evolution_is_pinned(case):
+    make, instants = TRACE_CASES[case]
+    assert trace_digest(make(), instants) == TRACE_GOLDEN[case]

@@ -14,7 +14,6 @@ from syncell.scenario import (
     SourceSpec,
     DetectorSpec,
     build_world,
-    start_sources,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -81,7 +80,6 @@ def single_shot_world(**kwargs):
         **kwargs,
     )
     w = build_world(spec)
-    start_sources(w)
     return w
 
 
@@ -128,7 +126,6 @@ def test_detector_ignores_opposite_direction():
         seed=3,
     )
     w = build_world(spec)
-    start_sources(w)
     w.run(60)
     # the DOWN beam crosses the zone, but the detector accepts UP only
     assert w.detectors[0].detections == 0
@@ -149,7 +146,6 @@ def test_detector_dedups_by_context_not_by_cell():
         seed=3,
     )
     world = build_world(w2)
-    start_sources(world)
     world.run(130)
     assert world.detectors[0].detections == 2
 
@@ -186,7 +182,6 @@ def test_chooser_leaves_an_existing_choice_alone():
         seed=3,
     )
     w = build_world(spec)
-    start_sources(w)
     forced = {}
 
     def rig():

@@ -9,7 +9,6 @@ from syncell.scenario import (
     SourceSpec,
     DetectorSpec,
     build_world,
-    start_sources,
 )
 from syncell.world import BRICK
 
@@ -101,7 +100,6 @@ def test_spawn_direction_sets_the_initial_velocity():
             seed=5,
         )
         w = build_world(spec)
-        start_sources(w)
         # stop right after the particle is born to read its initial velocity
         while not w.particles:
             w.sched.run_instant()
@@ -131,7 +129,6 @@ def test_newborn_moves_one_velocity_step_the_instant_after_birth():
         seed=3,
     )
     w = build_world(spec)
-    start_sources(w)
     while not w.particles:
         w.sched.run_instant()
     [red] = w.stats.reductions
@@ -187,6 +184,5 @@ def test_particle_free_world_goes_quiet():
         width=31, height=31, sources=[SourceSpec(x=15, y=27, state=0, shots=2, period=10)]
     )
     w = build_world(spec)
-    start_sources(w)
     executed = w.run(500)
     assert executed < 500 and w.sched.is_quiet() and w.particles == []

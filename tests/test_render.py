@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from syncell import COOPERATE, FrameBuffer, Holder, UP, World, render_frame
+from syncell import COOPERATE, FrameBuffer, Holder, UP, World
 from syncell.particles import RealParticle
 from syncell.render import ASCII_CHARS, PALETTE, STATE0, WALL
-from syncell.scenario import ScenarioSpec, SourceSpec, DetectorSpec, build_world, fire, start_sources
+from syncell.scenario import ScenarioSpec, SourceSpec, DetectorSpec, build_world, fire
 
 
 def fired_world():
@@ -26,7 +26,7 @@ def fired_world():
 
 def test_ppm_header_and_pixel_bytes():
     w = fired_world()
-    fb = render_frame(w, FrameBuffer(9, 9))
+    fb = FrameBuffer(9, 9).paint(w)
     data = fb.to_ppm_bytes()
     assert data.startswith(b"P6\n9 9\n255\n")
     body = data[len(b"P6\n9 9\n255\n") :]
@@ -40,7 +40,7 @@ def test_ppm_header_and_pixel_bytes():
 
 def test_ascii_encoding_digits_wall_background():
     w = fired_world()
-    fb = render_frame(w, FrameBuffer(9, 9))
+    fb = FrameBuffer(9, 9).paint(w)
     lines = fb.to_ascii().splitlines()
     assert lines[0] == "#" * 9
     assert lines[6][4] == "2"
@@ -50,7 +50,7 @@ def test_ascii_encoding_digits_wall_background():
 
 def test_exactly_one_state_pixel_beyond_static_geometry():
     w = fired_world()
-    fb = render_frame(w, FrameBuffer(9, 9))
+    fb = FrameBuffer(9, 9).paint(w)
     state_pixels = [i for i, v in enumerate(fb.buf) if v >= STATE0]
     assert state_pixels == [6 * 9 + 4]
 
@@ -77,7 +77,6 @@ def test_every_visible_cell_appears_with_its_state_color():
         seed=4,
     )
     w = build_world(spec)
-    start_sources(w)
     fb = FrameBuffer(25, 25)
     for _ in range(20):
         w.sched.run_instant()
@@ -95,11 +94,10 @@ def test_particles_are_painted_with_their_state_color():
         seed=4,
     )
     w = build_world(spec)
-    start_sources(w)
     while not w.particles:
         w.sched.run_instant()
     w.sched.run_instant()
-    fb = render_frame(w, FrameBuffer(25, 25))
+    fb = FrameBuffer(25, 25).paint(w)
     [p] = w.particles
     assert fb.buf[int(p.fy) * 25 + int(p.fx)] == STATE0 + p.state
 
@@ -124,6 +122,6 @@ def test_encoders_reject_an_index_past_the_palette():
     # a base-7 world paints state 6 as STATE0 + 6, which has no color
     w = World(9, 9, base=7)
     w.particles.append(RealParticle(4.5, 4.5, 0.0, 0.0, 6))
-    fb = render_frame(w, FrameBuffer(9, 9))
+    fb = FrameBuffer(9, 9).paint(w)
     with pytest.raises(IndexError):
         fb.to_ppm_bytes()

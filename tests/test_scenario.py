@@ -1,23 +1,28 @@
 """Scenario parsing, world construction, and emission contracts."""
 
-import pytest
+from pathlib import Path
 
-from syncell import Await, BRICK, COOPERATE, DOWN, Holder, UP, World
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from syncell import BRICK, COOPERATE, DOWN, Holder, UP, World
+from syncell import scenario
+from syncell.cli import run_world
 from syncell.scenario import (
     DetectorSpec,
+    MAX_CELLS,
     ScenarioError,
     ScenarioSpec,
     SlitSpec,
     SourceSpec,
     WallSpec,
     build_world,
-    dual_source_behavior,
+    emitter,
     fire,
     parse_scenario,
-    schedule_go,
-    start_sources,
-    SourceRecord,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 GOOD = """\
 # a comment
@@ -86,12 +91,49 @@ def test_parse_happy_path():
         ("[grid]\nwidth=10\nheight=10\n[source]\nx=5\n", "incomplete [source]"),
         ("[grid]\nwidth=10\nheight=10\n[source]\nx=5\ny=5\ndirection=left\n", "up or down"),
         ("[grid]\nwidth=10\nheight=10\n[slit]\nwall=0\nx0=2\nx1=2\nopen=maybe\n", "true/false"),
+        ("[grid]\nwidth=10\ndepth=3\n", "line 3: unknown [grid] key 'depth'"),
+        ("[grid]\nwidth=10\nheight=10\n[run]\nsteps=3\n", "line 5: unknown [run] key 'steps'"),
+        ("[grid]\nwidth=10\nheight=10\n[wall]\nx=3\n", "line 5: unknown [wall] key 'x'"),
+        ("[grid]\nwidth=10\nheight=10\n[slit]\nx=3\n", "line 5: unknown [slit] key 'x'"),
+        ("[grid]\nwidth=10\nheight=10\n[source]\nkind=up\n", "line 5: unknown [source] key 'kind'"),
+        ("[grid]\nwidth=10\nheight=10\n[detector]\nstate=1\n", "line 5: unknown [detector] key 'state'"),
+        ("[grid]\nwidth=10\nheight=10\n[source]\nvx=fast\n", "line 5: vx expects a number, got 'fast'"),
+        ("[grid]\nwidth=10\nheight=10\n[grid\n", "line 4: malformed section header '[grid'"),
+        ("[grid]\nwidth=10\nheight=10\n[wall]\nx0=1\ny0=1\nx1=2\n", "line 4: incomplete [wall] section"),
+        ("[grid]\nwidth=10\nheight=10\n[slit]\nwall=0\nx1=2\n", "line 4: incomplete [slit] section"),
+        ("[grid]\nwidth=10\nheight=10\n[detector]\nx0=1\n[run]\n", "line 4: incomplete [detector] section"),
     ],
 )
 def test_parse_errors_carry_line_information(text, fragment):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert fragment in str(err.value)
+
+
+_HEADERS = ["[grid]", "[wall]", "[slit]", "[source]", "[detector]", "[run]", "[oops]", "[grid", "[]"]
+_KEYS = [
+    "width", "height", "base", "x0", "y0", "x1", "y1", "wall", "open", "x", "y", "state",
+    "direction", "entangled", "period", "shots", "vx", "vy", "kind", "instants", "seed", "bogus",
+]
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["up", "down", "left", "true", "no", "maybe", "0.5", "nan", "", "ten"]),
+)
+_LINES = st.one_of(
+    st.sampled_from(_HEADERS),
+    st.builds("{}={}".format, st.sampled_from(_KEYS), _VALUES),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=30).map("\n".join))
+def test_malformed_text_raises_only_scenario_errors(text):
+    try:
+        spec = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert isinstance(spec, ScenarioSpec)
 
 
 def test_empty_world_has_dead_interior_and_brick_border():
@@ -188,12 +230,87 @@ def test_behavior_bookkeeping_with_source_and_detector():
             "only wall cells",
         ),
         (ScenarioSpec(width=10, height=10, base=9), "base"),
+        (
+            ScenarioSpec(width=10, height=10, sources=[SourceSpec(x=5, y=5, vx=2.0, line=7)]),
+            "source #0 (line 7): vx=2.0 is outside -1.0..1.0",
+        ),
+        (
+            ScenarioSpec(width=10, height=10, sources=[SourceSpec(x=5, y=5, vy=float("nan"))]),
+            "vy=nan is outside",
+        ),
+        (ScenarioSpec(width=100_000, height=100_000), "more than 1,000,000 cells"),
+        (ScenarioSpec(width=MAX_CELLS // 999, height=1000), "more than 1,000,000 cells"),
+        (ScenarioSpec(width=2, height=10), "smaller than 3x3"),
     ],
 )
 def test_build_rejects_malformed_specs_with_location(spec, fragment):
     with pytest.raises(ScenarioError) as err:
         build_world(spec)
     assert fragment in str(err.value)
+
+
+def test_a_grid_of_max_cells_passes_the_size_check(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def world(width, height, **kw):
+        raise Reached(width * height)
+
+    monkeypatch.setattr(scenario, "World", world)  # stop before allocating
+    with pytest.raises(Reached):
+        build_world(ScenarioSpec(width=1000, height=MAX_CELLS // 1000))
+
+
+_VELOCITY = st.one_of(st.none(), st.none(), st.floats(-1.2, 1.2), st.just(float("nan")))
+
+
+@st.composite
+def _specs(draw):
+    """Small specs, mostly inside their grid, now and then out of range."""
+    width, height = draw(st.integers(3, 14)), draw(st.integers(3, 14))
+    xs, ys = st.integers(0, width - 1), st.integers(0, height - 1)
+    inner_xs, inner_ys = st.integers(1, width - 2), st.integers(1, height - 2)
+    kinds = st.sampled_from([UP, DOWN])
+
+    def span(axis):
+        return sorted((draw(axis), draw(axis)))
+
+    walls, slits = [], []
+    for y in draw(st.lists(inner_ys, max_size=1)):
+        x0, x1 = span(inner_xs)
+        walls.append(WallSpec(x0, y, x1, y))
+        slits.append(SlitSpec(0, *span(st.integers(x0, x1)), open=draw(st.booleans())))
+    sources = [
+        SourceSpec(
+            draw(inner_xs),
+            draw(inner_ys),
+            state=draw(st.integers(0, 2)),
+            direction=draw(kinds),
+            entangled=draw(st.booleans()),
+            period=draw(st.integers(0, 6)),
+            shots=draw(st.integers(-1, 3)),
+            vx=draw(_VELOCITY),
+            vy=draw(_VELOCITY),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    detectors = []
+    for _ in range(draw(st.integers(0, 2))):
+        (x0, x1), (y0, y1) = span(xs), span(ys)
+        detectors.append(DetectorSpec(x0, y0, x1, y1, kind=draw(kinds)))
+    return ScenarioSpec(
+        width, height, draw(st.integers(2, 7)), walls, slits, sources, detectors
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs())
+def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
+    try:
+        world = build_world(spec)
+    except ScenarioError:
+        return
+    run_world(world, 40)
 
 
 # -- firing contracts -------------------------------------------------------------
@@ -229,14 +346,7 @@ def test_standard_fire_builds_an_entirely_fresh_context():
 
 def test_entangled_fires_share_exactly_measure_and_outcome():
     w = manual_world()
-    src = SourceRecord(10, 10, UP, 0, True, 1, 1, w.sched.new_event())
-    w.sched.spawn(dual_source_behavior(w, src))
-
-    def go():
-        w.sched.generate(src.go, ())
-        yield COOPERATE
-
-    w.sched.spawn(go())
+    w.sched.spawn(emitter(w, SourceSpec(x=10, y=10, direction=UP, entangled=True)))
     w.sched.run_instant()
     w.sched.run_instant()
     up_cell = w.grid.cell(10, 9)
@@ -251,42 +361,66 @@ def test_entangled_fires_share_exactly_measure_and_outcome():
     assert up_cell.kind is UP and down_cell.kind is DOWN
 
 
-def test_source_fires_in_the_go_instant_and_only_then():
-    spec = ScenarioSpec(width=15, height=15, sources=[SourceSpec(x=7, y=12, shots=0)])
-    w = build_world(spec)
-    src = w.sources[0]
-    fired_cell = w.grid.cell(7, 11)
-
-    def go_at_3():
-        for _ in range(3):
-            yield COOPERATE
-        w.sched.generate(src.go, ())
-
-    w.sched.spawn(go_at_3())
-    for _ in range(3):
-        w.sched.run_instant()
-        assert not fired_cell.living
-    w.sched.run_instant()
-    assert fired_cell.living  # woke in the instant go was generated
-
-
-def test_schedule_go_counts_and_spacing():
-    spec = ScenarioSpec(width=15, height=15, sources=[SourceSpec(x=7, y=12, shots=0)])
-    w = build_world(spec)
-    src = w.sources[0]
+def record_fires(monkeypatch) -> list:
+    """Make every emitter log the instant of each ``fire`` it calls."""
     fires = []
 
-    def counter():
-        while True:
-            yield Await(src.go)
-            fires.append(w.sched.clock)
-            yield COOPERATE
+    def recording_fire(world, *args):
+        fires.append(world.sched.clock)
+        return fire(world, *args)
 
-    w.sched.spawn(counter())
-    w.sched.spawn(schedule_go(w, [src], period=5, shots=3))
+    monkeypatch.setattr(scenario, "fire", recording_fire)
+    return fires
+
+
+def test_emitter_fires_its_first_shot_in_instant_0(monkeypatch):
+    fires = record_fires(monkeypatch)
+    spec = ScenarioSpec(width=15, height=15, sources=[SourceSpec(x=7, y=12, period=4)])
+    w = build_world(spec)
+    fired_cell = w.grid.cell(7, 11)
+    assert not fired_cell.living
+    w.sched.run_instant()
+    assert fired_cell.living  # woke in the instant the source fired
+    assert fires == [0]
+
+
+def test_emitter_counts_and_spacing(monkeypatch):
+    fires = record_fires(monkeypatch)
+    spec = ScenarioSpec(
+        width=15, height=15, sources=[SourceSpec(x=7, y=12, period=5, shots=3)]
+    )
+    w = build_world(spec)
     for _ in range(20):
         w.sched.run_instant()
     assert fires == [0, 5, 10]
+
+
+def test_entangled_back_beam_with_only_vx_keeps_its_own_direction():
+    text = (SCENARIOS / "entangled.scn").read_text()
+    plain = parse_scenario(text)
+    vx_only = parse_scenario(text.replace("entangled=true", "entangled=true\nvx=0.0"))
+    assert vx_only.sources[0].vx == 0.0 and vx_only.sources[0].vy is None
+    particles = []
+    for spec in (plain, vx_only):
+        w = build_world(spec)
+        run_world(w, 300)
+        particles.append([(p.fx, p.fy, p.vx, p.vy, p.state) for p in w.particles])
+    assert {p[3] for p in particles[0]} == {-1.0, 1.0}  # both beams collapsed
+    assert particles[1] == particles[0]
+
+
+def test_entangled_back_beam_mirrors_a_given_vy(monkeypatch):
+    velocities = []
+
+    def recording_fire(world, cell, state, direction, measure, outcome, velocity):
+        velocities.append((direction, velocity))
+        return fire(world, cell, state, direction, measure, outcome, velocity)
+
+    monkeypatch.setattr(scenario, "fire", recording_fire)
+    w = manual_world()
+    w.sched.spawn(emitter(w, SourceSpec(x=10, y=10, entangled=True, vx=0.25, vy=-0.5)))
+    w.sched.run_instant()
+    assert velocities == [(UP, (0.25, -0.5)), (DOWN, (0.25, 0.5))]
 
 
 def test_zero_shots_leave_the_world_silent():
@@ -294,7 +428,6 @@ def test_zero_shots_leave_the_world_silent():
         width=15, height=15, sources=[SourceSpec(x=7, y=12, shots=0, period=3)]
     )
     w = build_world(spec)
-    start_sources(w)
     executed = w.run(50)
     assert executed < 50  # quiesced early
     assert w.snapshot() == [] and w.particles == []
@@ -316,7 +449,6 @@ def test_successive_shots_are_independent_superpositions():
             yield COOPERATE
 
     w.sched.spawn(watcher())
-    start_sources(w)
     w.run(14)
     assert len(contexts) == 2
 
@@ -333,7 +465,6 @@ def test_every_shot_reaches_the_detector_in_the_same_superposition():
     )
     w = build_world(spec)
     w.measure_enabled = False
-    start_sources(w)
     w.run(150)
     censuses = {rec.state_counts for rec in w.stats.detections}
     assert len(w.stats.detections) == 3
