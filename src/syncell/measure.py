@@ -1,13 +1,13 @@
 """Measurement: detectors, the uniform choice, and the reduction protocol.
 
 A detector broadcasts the measurement event of the first superposition it
-sees; every member cell reacts by spawning a ``reduce`` behavior. The first
-reduction of each context spawns the context's one elector; the reductions
-roll-call their identities on the context's signal event, the elector draws
-one identity uniformly, and only the elected cell turns into a real
-particle. The whole protocol takes a fixed five instants from the
-measurement broadcast to the last member reset, which is what makes
-"the collapse is instantaneous" a checkable claim.
+sees; every member cell reacts by running ``reduce`` inside its own cycle.
+The members roll-call their identities on the context's signal event; the
+first member to report collects the roll-call and draws one identity
+uniformly, and only the elected cell turns into a real particle. The whole
+protocol takes a fixed five instants from the measurement broadcast to the
+last member reset, which is what makes "the collapse is instantaneous" a
+checkable claim.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .kernel import Await, COOPERATE, Collect
+from .kernel import COOPERATE, Collect
 from .particles import RealParticle
 from .stats import DetectionRecord, ReductionRecord
-from .world import BRICK, Cell, CellKind, MeasurementContext, World, direction_dy
+from .world import BRICK, Cell, CellKind, World, direction_dy
 
 # instants from the measurement broadcast to the member cells' reset
 REDUCE_WINDOW = 5
@@ -96,31 +96,28 @@ def set_chosen_state(c: Cell) -> None:
         holder.value = c.basic_state
 
 
-def choose_in_superposition(world: World, ctx: MeasurementContext):
-    """Collect the roll-call and elect one member, first writer only."""
-    yield Await(ctx.signal)
-    ids = yield Collect(ctx.signal)
-    if ctx.chosen.value == -1:
-        ctx.chosen.value = choose(ids, world.rng)
+def reduce(world: World, c: Cell):
+    """One member cell's part of the collapse, run inside the cell's cycle.
 
-
-def reduce(world: World, c: Cell, done):
-    """One member cell's part of the collapse.
-
-    Spawns the context's elector if no member has yet, reports its identity
-    on the roll-call one instant later, waits two instants for the election,
-    and if elected publishes the outcome state and launches the real
-    particle. Always signals ``done`` so the owning cell can reset.
+    Two instants after the measurement the member reports its identity on
+    the roll-call; the first member to report (in spawn-id order) collects
+    the roll-call and, unless a choice exists, elects one identity. Two
+    instants later the elected member publishes the outcome state and
+    launches the real particle; the cell resets when this returns.
     """
     sched = world.sched
     ctx = c.ctx
     me = world.grid.linear(c.x, c.y)
-    if not ctx.elector_spawned:
-        ctx.elector_spawned = True
-        sched.spawn(choose_in_superposition(world, ctx))
     yield COOPERATE
+    yield COOPERATE
+    first = not ctx.signal.present
     sched.generate(ctx.signal, me)
-    yield COOPERATE
+    if first:
+        ids = yield Collect(ctx.signal)
+        if ctx.chosen.value == -1:
+            ctx.chosen.value = choose(ids, world.rng)
+    else:
+        yield COOPERATE
     yield COOPERATE
     if ctx.chosen.value == me:
         set_chosen_state(c)
@@ -134,4 +131,3 @@ def reduce(world: World, c: Cell, done):
         world.stats.record_reduction(
             ReductionRecord(sched.clock, ctx.serial, ctx.measure.eid, me, state)
         )
-    sched.generate(done, ())

@@ -5,9 +5,10 @@ Each non-wall cell runs one ``cell_behavior`` on the shared scheduler. The
 cycle of a triggered cell spans instants: it wakes in the instant it is
 triggered, combines the collected activations and settles its state one
 instant later, and one instant after that either retransmits to its three
-forward neighbours or, if its measurement event fired, hands over to a
-reduction. Every cycle ends with the cell reset to dead and state 0, so a
-wavefront row advances every two instants.
+forward neighbours or, if its measurement event fired, runs the reduction
+(``measure.reduce``) as the last phase of the same cycle. Every cycle ends
+with the cell reset to dead and state 0, so a wavefront row advances every
+two instants.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class MeasurementContext:
     reduction; ``chosen`` holds the elected cell id and ``chosen_state`` the
     elected basic state. ``measure`` and ``chosen_state`` may be shared with
     a twin context (entanglement); ``signal`` and ``chosen`` never are.
-    ``elector_spawned`` is set once the context's one elector is spawned.
 
     The trailing fields are an audit trail for collapse checks and carry no
     behavioral weight.
@@ -79,7 +79,6 @@ class MeasurementContext:
         "chosen_state",
         "serial",
         "spawn_velocity",
-        "elector_spawned",
         "live_count",
         "last_transmit",
         "last_reset",
@@ -100,7 +99,6 @@ class MeasurementContext:
         self.chosen_state = chosen_state
         self.serial = serial
         self.spawn_velocity = spawn_velocity
-        self.elector_spawned = False
         self.live_count = 0
         self.last_transmit = -1
         self.last_reset = -1
@@ -283,10 +281,12 @@ class World:
                 counts[c.basic_state] += 1
         return tuple(counts)
 
-    def run(self, instants: int, on_instant=None, stop_on_quiet: bool = True) -> int:
+    def run(self, instants: int, on_instant=None) -> int:
         """Run up to ``instants`` instants; stops early once nothing can run.
 
-        Returns the number of instants actually executed.
+        A detector cooperates every instant and a live particle is stepped
+        every instant, so a world with either never stops early. Returns the
+        number of instants actually executed.
         """
         executed = 0
         for _ in range(instants):
@@ -294,7 +294,7 @@ class World:
             executed += 1
             if on_instant is not None:
                 on_instant(self, report)
-            if stop_on_quiet and self.sched.is_quiet():
+            if self.sched.is_quiet():
                 break
         return executed
 
@@ -357,15 +357,11 @@ def cell_behavior(world: World, c: Cell):
     """The non-terminating cycle of one cell (see the module docstring)."""
     from .measure import reduce
 
-    sched = world.sched
     wait_trigger = Await(c.trigger)
     collect_trigger = Collect(c.trigger)
     while True:
-        if c.living:
-            awake_neighbourhood(world, c)
-        else:
-            yield wait_trigger
-            c.living = True
+        yield wait_trigger
+        c.living = True
         activations = yield collect_trigger
         if activations:
             first_ctx = activations[0].ctx
@@ -379,9 +375,7 @@ def cell_behavior(world: World, c: Cell):
         world.mark_visible(c)
         measured = yield Collect(c.ctx.measure)
         if measured:
-            done = sched.new_event()
-            sched.spawn(reduce(world, c, done))
-            yield Await(done)
+            yield from reduce(world, c)
         else:
             awake_neighbourhood(world, c)
         cell_reset(world, c)

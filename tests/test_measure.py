@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from syncell import COOPERATE, Holder, UP, World, load_scenario
+from syncell import COOPERATE, Holder, UP, World, load_scenario, measure
 from syncell.cli import run_world
 from syncell.measure import REDUCE_WINDOW, choose, set_chosen_state
 from syncell.scenario import (
@@ -202,7 +202,9 @@ def test_chooser_leaves_an_existing_choice_alone():
 
 
 @pytest.mark.parametrize("name,contexts_per_collapse", [("single.scn", 1), ("entangled.scn", 2)])
-def test_one_elector_per_measured_context(name, contexts_per_collapse):
+def test_collapse_runs_in_the_cell_cycle_with_one_draw_per_context(
+    name, contexts_per_collapse, monkeypatch
+):
     spec = load_scenario(SCENARIOS / name)
     w = build_world(spec)
     spawned = Counter()
@@ -212,9 +214,18 @@ def test_one_elector_per_measured_context(name, contexts_per_collapse):
         spawned[gen.__name__] += 1
         return spawn(gen)
 
+    draws = []
+
+    def counting_choose(ids, rng):
+        draws.append(ids)
+        return choose(ids, rng)
+
     w.sched.spawn = counting_spawn
+    monkeypatch.setattr(measure, "choose", counting_choose)
     run_world(w, spec.run_length)
     collapses = w.detectors[0].detections
     assert collapses > 0
     assert len(w.stats.reductions) == contexts_per_collapse * collapses
-    assert spawned["choose_in_superposition"] == contexts_per_collapse * collapses
+    # the collapse spawns nothing: the particle stepper is the run's only spawn
+    assert spawned == Counter({"particle_stepper": 1})
+    assert len(draws) == contexts_per_collapse * collapses
