@@ -18,7 +18,13 @@ from .scenario import (
     load_scenario,
     parse_scenario,
 )
-from .stats import FrequencyRow, RunReport, frequency_csv, frequency_text
+from .stats import (
+    FrequencyRow,
+    RunReport,
+    frequency_csv,
+    frequency_text,
+    state_fractions,
+)
 from .world import World
 
 
@@ -93,8 +99,7 @@ def expected_distribution(world: World, detector_index: int, instants: int):
         raise DetectorNotReachedError(
             f"detector {detector_index} saw no superposition within {instants} instants"
         )
-    total = contact.size
-    return {s: n / total for s, n in enumerate(contact.state_counts) if n}
+    return state_fractions(contact.state_counts)
 
 
 # -- compare ------------------------------------------------------------------

@@ -60,15 +60,19 @@ class DivergenceError(KernelError):
 
 
 class Event:
-    """A broadcast channel. Presence and values are scoped to one instant."""
+    """A broadcast channel. Values are scoped to one instant; the event is
+    present in an instant once a value has been generated on it."""
 
-    __slots__ = ("eid", "values", "present", "waiters")
+    __slots__ = ("eid", "values", "waiters")
 
     def __init__(self, eid: int):
         self.eid = eid
         self.values: list = []
-        self.present = False
         self.waiters: list[_Task] = []
+
+    @property
+    def present(self) -> bool:
+        return bool(self.values)
 
     def __repr__(self):
         return f"Event({self.eid}, present={self.present}, values={self.values!r})"
@@ -170,10 +174,10 @@ class Scheduler:
             raise PhaseError(
                 "generate is only allowed during the active phase of an instant"
             )
-        event.values.append(value)
-        if not event.present:
-            event.present = True
+        values = event.values
+        if not values:
             self._touched.append(event)
+        values.append(value)
         self._generated += 1
         waiters = event.waiters
         if waiters:
@@ -227,7 +231,7 @@ class Scheduler:
                     break
                 if cls is Await:
                     event = cmd.event
-                    if event.present:
+                    if event.values:
                         value = None
                         continue
                     event.waiters.append(task)
@@ -242,7 +246,6 @@ class Scheduler:
         self._collectors = []
         for event in self._touched:
             event.values.clear()
-            event.present = False
         self._touched = []
 
         self._clock += 1

@@ -62,7 +62,7 @@ def detector_behavior(world: World, d: Detector, index: int):
     sched = world.sched
     while True:
         for c in zone_cells:
-            if c.visible and c.kind is d.accepted_kind:
+            if c in world.visible and c.kind is d.accepted_kind:
                 ctx = c.ctx
                 if ctx.serial in d.seen:
                     continue
@@ -110,16 +110,16 @@ def reduce(world: World, c: Cell):
     me = world.grid.linear(c.x, c.y)
     yield COOPERATE
     yield COOPERATE
-    first = not ctx.signal.present
+    first = not ctx.signal.values
     sched.generate(ctx.signal, me)
     if first:
         ids = yield Collect(ctx.signal)
-        if ctx.chosen.value == -1:
-            ctx.chosen.value = choose(ids, world.rng)
+        if ctx.chosen == -1:
+            ctx.chosen = choose(ids, world.rng)
     else:
         yield COOPERATE
     yield COOPERATE
-    if ctx.chosen.value == me:
+    if ctx.chosen == me:
         set_chosen_state(c)
         state = ctx.chosen_state.value
         if ctx.spawn_velocity is not None:

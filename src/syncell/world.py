@@ -1,14 +1,15 @@
 """The cellular world: grid, cells, and the transmit/collect cell cycle.
 
-A virtual particle is the set of cells currently living for one emission.
-Each non-wall cell runs one ``cell_behavior`` on the shared scheduler. The
-cycle of a triggered cell spans instants: it wakes in the instant it is
-triggered, combines the collected activations and settles its state one
-instant later, and one instant after that either retransmits to its three
-forward neighbours or, if its measurement event fired, runs the reduction
+A virtual particle is the set of visible cells of one emission: the keys of
+``World.visible`` whose value is that emission's context. Each non-wall cell
+runs one ``cell_behavior`` on the shared scheduler. The cycle of a triggered
+cell spans instants: it wakes in the instant it is triggered, combines the
+collected activations, settles its state and becomes visible one instant
+later, and one instant after that either retransmits to its three forward
+neighbours or, if its measurement event fired, runs the reduction
 (``measure.reduce``) as the last phase of the same cycle. Every cycle ends
-with the cell reset to dead and state 0, so a wavefront row advances every
-two instants.
+with the cell reset to state 0 and dropped from ``World.visible``, so a
+wavefront row advances every two instants.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .kernel import Await, Collect, Event, Scheduler
+from .kernel import DEFAULT_MICROSTEP_BUDGET, Await, Collect, Event, Scheduler
 from .stats import RunStats
 
 
@@ -64,12 +65,14 @@ class MeasurementContext:
 
     ``measure`` is the broadcast event a detector fires; ``signal`` is the
     roll-call event on which member cells report their identities during
-    reduction; ``chosen`` holds the elected cell id and ``chosen_state`` the
-    elected basic state. ``measure`` and ``chosen_state`` may be shared with
-    a twin context (entanglement); ``signal`` and ``chosen`` never are.
+    reduction; ``chosen`` is the elected cell id (-1 until the draw) and
+    ``chosen_state`` holds the elected basic state. ``measure`` and
+    ``chosen_state`` may be shared with a twin context (entanglement);
+    ``signal`` never is. The member cells are the entries of
+    ``World.visible`` registered with this context (``World.snapshot``).
 
-    The trailing fields are an audit trail for collapse checks and carry no
-    behavioral weight.
+    ``last_transmit`` and ``last_reset`` are an audit trail for collapse
+    checks and carry no behavioral weight.
     """
 
     __slots__ = (
@@ -79,7 +82,6 @@ class MeasurementContext:
         "chosen_state",
         "serial",
         "spawn_velocity",
-        "live_count",
         "last_transmit",
         "last_reset",
     )
@@ -88,18 +90,16 @@ class MeasurementContext:
         self,
         measure: Event,
         signal: Event,
-        chosen: Holder,
         chosen_state: Holder,
         serial: int,
         spawn_velocity: Optional[tuple] = None,
     ):
         self.measure = measure
         self.signal = signal
-        self.chosen = chosen
+        self.chosen = -1
         self.chosen_state = chosen_state
         self.serial = serial
         self.spawn_velocity = spawn_velocity
-        self.live_count = 0
         self.last_transmit = -1
         self.last_reset = -1
 
@@ -116,23 +116,21 @@ class Cell:
     """One grid site.
 
     ``kind``, ``basic_state`` and ``ctx`` are only meaningful while the cell
-    is ``visible`` (between its combine step and its reset); outside that
-    window they are leftovers of the previous cycle. ``kind`` is None until
-    the first activation ever reaches the cell. BRICK cells have no trigger
-    event and never run a behavior.
+    is in ``World.visible`` (between its combine step and its reset); outside
+    that window they are leftovers of the previous cycle. ``kind`` and
+    ``ctx`` are None until the first activation ever reaches the cell. BRICK
+    cells have no trigger event and never run a behavior.
     """
 
-    __slots__ = ("x", "y", "kind", "living", "basic_state", "trigger", "ctx", "visible")
+    __slots__ = ("x", "y", "kind", "basic_state", "trigger", "ctx")
 
     def __init__(self, x: int, y: int, kind: Optional[CellKind], trigger: Optional[Event]):
         self.x = x
         self.y = y
         self.kind = kind
-        self.living = False
         self.basic_state = 0
         self.trigger = trigger
         self.ctx: Optional[MeasurementContext] = None
-        self.visible = False
 
     def __repr__(self):
         return f"Cell({self.x},{self.y},{self.kind},s={self.basic_state})"
@@ -187,14 +185,14 @@ class World:
         height: int,
         seed: int = 0,
         base: int = 6,
-        microstep_budget: int = 1_000_000,
+        microstep_budget: int = DEFAULT_MICROSTEP_BUDGET,
     ):
         self.sched = Scheduler(microstep_budget)
         self.grid = Grid(width, height, self.sched)
         self.rng = random.Random(seed)
         self.seed = seed
         self.base = base
-        # cell -> context registered when the cell became visible
+        # visible cell -> its context, from the combine step to the reset
         self.visible: dict[Cell, MeasurementContext] = {}
         self.particles: list = []
         self.particle_starts: list[int] = []  # first instant each particle moves
@@ -216,7 +214,6 @@ class World:
         ctx = MeasurementContext(
             measure if measure is not None else self.sched.new_event(),
             self.sched.new_event(),
-            Holder(-1),
             chosen_state if chosen_state is not None else Holder(-1),
             self._ctx_serial,
             spawn_velocity,
@@ -232,23 +229,6 @@ class World:
                 self.sched.spawn(cell_behavior(self, c))
                 n += 1
         return n
-
-    # -- liveness registry -------------------------------------------------
-
-    def mark_visible(self, c: Cell) -> None:
-        c.visible = True
-        self.visible[c] = c.ctx
-        c.ctx.live_count += 1
-
-    def mark_erased(self, c: Cell) -> None:
-        c.visible = False
-        ctx = self.visible.pop(c)
-        ctx.live_count -= 1
-        ctx.last_reset = self.sched.clock
-
-    def note_transmit(self, c: Cell) -> None:
-        if c.ctx is not None:
-            c.ctx.last_transmit = self.sched.clock
 
     def add_particle(self, p) -> None:
         """Register a particle, to move from the next instant to start on; the
@@ -333,7 +313,7 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
         dy = 1
     else:
         raise ValueError(f"cell at ({c.x},{c.y}) has no direction to transmit in")
-    world.note_transmit(c)
+    c.ctx.last_transmit = world.sched.clock
     a = Activation(c.kind, c.basic_state, c.ctx)
     for ix in (-1, 0, 1):
         awake_neighbour(world, c, ix, dy, a)
@@ -348,9 +328,9 @@ def combine(world: World, c: Cell, a: Activation) -> None:
 
 def cell_reset(world: World, c: Cell) -> None:
     c.basic_state = 0
-    c.living = False
-    if c.visible:
-        world.mark_erased(c)
+    ctx = world.visible.pop(c, None)
+    if ctx is not None:
+        ctx.last_reset = world.sched.clock
 
 
 def cell_behavior(world: World, c: Cell):
@@ -361,18 +341,17 @@ def cell_behavior(world: World, c: Cell):
     collect_trigger = Collect(c.trigger)
     while True:
         yield wait_trigger
-        c.living = True
+        # the trigger is present, so this instant's collection is non-empty
         activations = yield collect_trigger
-        if activations:
-            first_ctx = activations[0].ctx
-            for a in activations:
-                if a.ctx is not first_ctx:
-                    world.ctx_collisions += 1
-                    break
-            for a in activations:
-                combine(world, c, a)
+        first_ctx = activations[0].ctx
+        for a in activations:
+            if a.ctx is not first_ctx:
+                world.ctx_collisions += 1
+                break
+        for a in activations:
+            combine(world, c, a)
         increm_state(world, c)
-        world.mark_visible(c)
+        world.visible[c] = c.ctx
         measured = yield Collect(c.ctx.measure)
         if measured:
             yield from reduce(world, c)

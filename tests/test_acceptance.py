@@ -272,7 +272,7 @@ def test_criterion_5_collapse_instantaneity(young_reference_run):
     assert len(world.stats.detections) == 1000
     for rec in world.stats.detections:
         ctx = rec.ctx
-        assert ctx.live_count == 0, "members survived the collapse"
+        assert world.snapshot(ctx) == [], "members survived the collapse"
         assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
         assert ctx.last_transmit < rec.instant, "a member transmitted after measurement"
         assert len(reductions_by_ctx[rec.ctx_serial]) == 1, "one particle per measurement"

@@ -1,18 +1,22 @@
 """Choice, detectors, and the collapse protocol."""
 
+import math
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from syncell import COOPERATE, Holder, UP, World, load_scenario, measure
+from syncell import BRICK, COOPERATE, DOWN, Holder, UP, World, load_scenario, measure
 from syncell.cli import run_world
 from syncell.measure import REDUCE_WINDOW, choose, set_chosen_state
 from syncell.scenario import (
-    ScenarioSpec,
-    SourceSpec,
     DetectorSpec,
+    ScenarioSpec,
+    SlitSpec,
+    SourceSpec,
+    WallSpec,
     build_world,
 )
 
@@ -103,7 +107,7 @@ def test_collapse_window_and_silence_after_measurement():
     [red] = w.stats.reductions
     assert red.instant == rec.instant + REDUCE_WINDOW
     ctx = rec.ctx
-    assert ctx.live_count == 0
+    assert w.snapshot(ctx) == []
     assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
     assert ctx.last_transmit < rec.instant  # silence from the broadcast on
 
@@ -191,8 +195,8 @@ def test_chooser_leaves_an_existing_choice_alone():
             yield COOPERATE
         [rec] = w.stats.detections
         ctx = next(c for c in w.visible.values())
-        ctx.chosen.value = w.grid.linear(15, 17)
-        forced["id"] = ctx.chosen.value
+        ctx.chosen = w.grid.linear(15, 17)
+        forced["id"] = ctx.chosen
         yield COOPERATE
 
     w.sched.spawn(rig())
@@ -229,3 +233,83 @@ def test_collapse_runs_in_the_cell_cycle_with_one_draw_per_context(
     # the collapse spawns nothing: the particle stepper is the run's only spawn
     assert spawned == Counter({"particle_stepper": 1})
     assert len(draws) == contexts_per_collapse * collapses
+
+
+# -- collapse invariants on generated worlds ----------------------------------------
+
+_KINDS = st.sampled_from([UP, DOWN])
+_VELOCITY = st.one_of(st.none(), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _measured_worlds(draw):
+    """Valid worlds of up to 40x40: walls with slits, 1-3 sources (some
+    entangled, ``period >= 8``) and 1-2 detectors."""
+    width, height = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    xs = st.integers(1, width - 2)
+
+    def span(axis):
+        return sorted((draw(axis), draw(axis)))
+
+    wall_rows = draw(st.lists(st.integers(3, height - 4), max_size=2, unique=True))
+    walls, slits = [], []
+    for i, y in enumerate(wall_rows):
+        x0, x1 = span(xs)
+        walls.append(WallSpec(x0, y, x1, y))
+        for _ in range(draw(st.integers(0, 2))):
+            s0, s1 = span(st.integers(x0, x1))
+            slits.append(SlitSpec(i, s0, s1, open=draw(st.booleans())))
+    near_walls = {y + dy for y in wall_rows for dy in (-1, 0, 1)}
+    source_rows = [y for y in range(2, height - 2) if y not in near_walls]
+    assume(source_rows)
+    base = draw(st.integers(2, 6))
+    sources = [
+        SourceSpec(
+            draw(xs),
+            draw(st.sampled_from(source_rows)),
+            state=draw(st.integers(0, base - 1)),
+            direction=draw(_KINDS),
+            entangled=draw(st.booleans()),
+            period=draw(st.integers(8, 16)),
+            shots=draw(st.integers(1, 3)),
+            vx=draw(_VELOCITY),
+            vy=draw(_VELOCITY),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    detector_rows = [y for y in range(1, height - 1) if y not in wall_rows]
+    detectors = []
+    for _ in range(draw(st.integers(1, 2))):
+        (x0, x1), y0 = span(xs), draw(st.sampled_from(detector_rows))
+        y1 = min(y0 + draw(st.integers(0, 2)), height - 2)
+        detectors.append(DetectorSpec(x0, y0, x1, y1, kind=draw(_KINDS)))
+    return ScenarioSpec(
+        width, height, base, walls, slits, sources, detectors,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_measured_worlds())
+def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec):
+    w = build_world(spec)
+    grid = w.grid
+
+    def check_particles(world, report):
+        for p in world.particles:
+            x, y = math.floor(p.fx), math.floor(p.fy)
+            assert grid.in_range(x, y) and grid.cell(x, y).kind is not BRICK, p
+
+    # the last shot crosses the grid in 2 * height instants, then collapses
+    last_shot = max((s.shots - 1) * s.period for s in spec.sources)
+    w.run(last_shot + 2 * spec.height + REDUCE_WINDOW + 2, on_instant=check_particles)
+    reduced = {red.ctx_serial: red.instant for red in w.stats.reductions}
+    for rec in w.stats.detections:
+        assert rec.measured
+        if w.sched.clock <= rec.instant + REDUCE_WINDOW:
+            continue
+        ctx = rec.ctx
+        assert w.snapshot(ctx) == [], "members survived the collapse"
+        assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
+        assert ctx.last_transmit < rec.instant, "a member transmitted after measurement"
+        assert reduced[rec.ctx_serial] == rec.instant + REDUCE_WINDOW

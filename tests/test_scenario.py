@@ -143,7 +143,10 @@ def test_empty_world_has_dead_interior_and_brick_border():
     interior = [c for c in w.grid.cells() if c.kind is not BRICK]
     assert len(border) == 20 * 20 - 18 * 18
     assert len(interior) == 18 * 18
-    assert all(not c.living and c.basic_state == 0 for c in interior)
+    assert w.visible == {}
+    assert all(
+        c.ctx is None and c.basic_state == 0 and not c.trigger.present for c in interior
+    )
     assert w.sched.alive == 18 * 18
 
 
@@ -340,7 +343,9 @@ def test_standard_fire_builds_an_entirely_fresh_context():
     a, b = seen
     assert a.measure is not b.measure
     assert a.signal is not b.signal
-    assert a.chosen is not b.chosen
+    assert a.chosen == b.chosen == -1
+    a.chosen = 7
+    assert b.chosen == -1  # each context has its own choice
     assert a.chosen_state is not b.chosen_state
 
 
@@ -357,7 +362,9 @@ def test_entangled_fires_share_exactly_measure_and_outcome():
     assert a.measure is b.measure
     assert a.chosen_state is b.chosen_state
     assert a.signal is not b.signal
-    assert a.chosen is not b.chosen
+    assert a.chosen == b.chosen == -1
+    a.chosen = 7
+    assert b.chosen == -1  # each context has its own choice
     assert up_cell.kind is UP and down_cell.kind is DOWN
 
 
@@ -378,10 +385,20 @@ def test_emitter_fires_its_first_shot_in_instant_0(monkeypatch):
     spec = ScenarioSpec(width=15, height=15, sources=[SourceSpec(x=7, y=12, period=4)])
     w = build_world(spec)
     fired_cell = w.grid.cell(7, 11)
-    assert not fired_cell.living
+    assert fired_cell not in w.visible and fired_cell.ctx is None
+    triggered = {}
+
+    def trigger_spy():  # runs after the emitter in instant 0
+        triggered[w.sched.clock] = fired_cell.trigger.present
+        yield COOPERATE
+
+    w.sched.spawn(trigger_spy())
     w.sched.run_instant()
-    assert fired_cell.living  # woke in the instant the source fired
+    assert triggered == {0: True}
     assert fires == [0]
+    w.sched.run_instant()
+    # visible after instant 1, so it woke and collected in instant 0
+    assert fired_cell.ctx is not None and w.visible[fired_cell] is fired_cell.ctx
 
 
 def test_emitter_counts_and_spacing(monkeypatch):

@@ -191,11 +191,12 @@ def test_single_activation_onto_fresh_cell_copies_state():
 def test_cell_reset_is_idempotent_and_restores_initial_state():
     w = World(9, 9)
     c = prepared_cell(w, 4, 4, UP, state=3)
-    c.living = True
+    w.visible[c] = c.ctx
     cell_reset(w, c)
-    assert c.basic_state == 0 and c.living is False
+    assert c.basic_state == 0 and c not in w.visible
+    assert c.ctx.last_reset == w.sched.clock
     cell_reset(w, c)
-    assert c.basic_state == 0 and c.living is False
+    assert c.basic_state == 0 and c not in w.visible
 
 
 def test_cell_reset_leaves_pending_trigger_values_alone():
@@ -230,12 +231,21 @@ def test_dead_cell_triggered_cycle_timing():
     target = w.grid.cell(7, 12)
     above = w.grid.cell(7, 11)
     fire_once(w, 7, 12, state=3)
+    triggered = {}
 
-    run_to(w, 1)  # instant 0 done: cell woke, nothing settled yet
-    assert target.living is True and target.visible is False
+    def trigger_spy():  # runs after the igniter in every instant
+        while True:
+            triggered[w.sched.clock] = target.trigger.present
+            yield COOPERATE
+
+    w.sched.spawn(trigger_spy())
+    run_to(w, 1)  # instant 0 done: cell triggered, nothing settled yet
+    assert triggered == {0: True}
+    assert target not in w.visible and target.ctx is None
 
     run_to(w, 2)  # instant 1 done: combined 3, incremented
-    assert target.visible is True
+    assert triggered == {0: True, 1: False}
+    assert target.ctx is not None and w.visible[target] is target.ctx
     assert target.basic_state == 4
 
     got = {}
@@ -247,7 +257,7 @@ def test_dead_cell_triggered_cycle_timing():
     w.sched.spawn(spy())
     run_to(w, 3)  # instant 2: retransmission reaches the row above
     assert got["above"] == (2, True)
-    assert target.living is False and target.basic_state == 0  # reset closed the cycle
+    assert target not in w.visible and target.basic_state == 0  # reset closed the cycle
 
 
 def test_measured_cell_does_not_retransmit():
@@ -262,8 +272,9 @@ def test_measured_cell_does_not_retransmit():
 
     w.sched.spawn(measurer())
     run_to(w, 12)
-    assert above.living is False  # no transmission ever reached it
-    assert target.living is False
+    # no transmission ever reached the row above
+    assert above.ctx is None and above not in w.visible
+    assert target not in w.visible
     assert len(w.particles) == 1
 
 
