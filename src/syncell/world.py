@@ -5,8 +5,9 @@ A virtual particle is the set of visible cells of one emission: the keys of
 runs one ``cell_behavior`` on the shared scheduler. The cycle of a triggered
 cell spans instants: it wakes in the instant it is triggered, combines the
 collected activations, settles its state and becomes visible one instant
-later, and one instant after that either retransmits to its three forward
-neighbours or, if its measurement event fired, runs the reduction
+later, and one instant after that either retransmits (one shared
+``Activation`` on the triggers of the three cells ahead, found by row-major
+index) or, if its measurement event fired, runs the reduction
 (``measure.reduce``) as the last phase of the same cycle. Every cycle ends
 with the cell reset to state 0 and dropped from ``World.visible``, so a
 wavefront row advances every two instants.
@@ -14,6 +15,7 @@ wavefront row advances every two instants.
 
 from __future__ import annotations
 
+import gc
 import random
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -118,8 +120,8 @@ class Cell:
     ``kind``, ``basic_state`` and ``ctx`` are only meaningful while the cell
     is in ``World.visible`` (between its combine step and its reset); outside
     that window they are leftovers of the previous cycle. ``kind`` and
-    ``ctx`` are None until the first activation ever reaches the cell. BRICK
-    cells have no trigger event and never run a behavior.
+    ``ctx`` are None until the first activation ever reaches the cell.
+    Exactly the BRICK cells have no trigger event; they never run a behavior.
     """
 
     __slots__ = ("x", "y", "kind", "basic_state", "trigger", "ctx")
@@ -267,62 +269,57 @@ class World:
         A detector cooperates every instant and a live particle is stepped
         every instant, so a world with either never stops early. Returns the
         number of instants actually executed.
+
+        The cyclic garbage collector is paused for the run and restored as
+        the caller had it, even if the run raises: a run makes no cyclic
+        garbage, so a pass would only re-walk the world's cells, events and
+        generators. Cycles made by ``on_instant`` are freed after the run.
         """
         executed = 0
-        for _ in range(instants):
-            report = self.sched.run_instant()
-            executed += 1
-            if on_instant is not None:
-                on_instant(self, report)
-            if self.sched.is_quiet():
-                break
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(instants):
+                report = self.sched.run_instant()
+                executed += 1
+                if on_instant is not None:
+                    on_instant(self, report)
+                if self.sched.is_quiet():
+                    break
+        finally:
+            if collecting:
+                gc.enable()
         return executed
-
-
-# -- basic state arithmetic ---------------------------------------------------
-
-
-def add_state(world: World, c: Cell, z: int) -> None:
-    c.basic_state = (c.basic_state + z) % world.base
-
-
-def increm_state(world: World, c: Cell) -> None:
-    add_state(world, c, 1)
 
 
 # -- triggering ---------------------------------------------------------------
 
 
-def awake_neighbour(world: World, c: Cell, ix: int, iy: int, a: Activation) -> None:
-    """Trigger the cell at the given offset with ``a``; no-op on walls/off-grid."""
-    x = c.x + ix
-    y = c.y + iy
-    if not world.grid.in_range(x, y):
-        return
-    target = world.grid.cell(x, y)
-    if target.kind is BRICK:
-        return
-    world.sched.generate(target.trigger, a)
-
-
 def awake_neighbourhood(world: World, c: Cell) -> None:
-    """Trigger the three forward neighbours (row above for UP, below for DOWN)."""
+    """Trigger the three forward neighbours (row above for UP, below for DOWN)
+    left to right, skipping walls. Indexing needs no range check: a cell that
+    can transmit is interior (the BRICK border ring), and exactly the BRICK
+    cells have no trigger (kept so by ``Grid`` and ``build_world``)."""
     if c.kind is UP:
         dy = -1
     elif c.kind is DOWN:
         dy = 1
     else:
         raise ValueError(f"cell at ({c.x},{c.y}) has no direction to transmit in")
-    c.ctx.last_transmit = world.sched.clock
+    sched, grid = world.sched, world.grid
+    c.ctx.last_transmit = sched.clock
     a = Activation(c.kind, c.basic_state, c.ctx)
-    for ix in (-1, 0, 1):
-        awake_neighbour(world, c, ix, dy, a)
+    cells = grid._cells
+    i = (c.y + dy) * grid.width + c.x
+    for trigger in (cells[i - 1].trigger, cells[i].trigger, cells[i + 1].trigger):
+        if trigger is not None:
+            sched.generate(trigger, a)
 
 
 def combine(world: World, c: Cell, a: Activation) -> None:
     """Merge a triggering neighbour into this cell: direction, state, context."""
     c.kind = a.kind
-    add_state(world, c, a.basic_state)
+    c.basic_state = (c.basic_state + a.basic_state) % world.base
     c.ctx = a.ctx
 
 
@@ -350,7 +347,7 @@ def cell_behavior(world: World, c: Cell):
                 break
         for a in activations:
             combine(world, c, a)
-        increm_state(world, c)
+        c.basic_state = (c.basic_state + 1) % world.base
         world.visible[c] = c.ctx
         measured = yield Collect(c.ctx.measure)
         if measured:

@@ -1,0 +1,104 @@
+"""The cyclic collector is paused during ``World.run``: a run makes no cyclic
+garbage, the caller's collector state comes back, and a world is still freed."""
+
+import gc
+import weakref
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from syncell import COOPERATE, World, build_world, cli, load_scenario
+from syncell.kernel import Await, DivergenceError
+
+from test_measure import _measured_worlds
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as it was, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "name, instants",
+    [("single.scn", None), ("entangled.scn", None), ("young200.scn", 400)],
+)
+def test_a_run_makes_no_cyclic_garbage(name, instants):
+    spec = load_scenario(SCENARIOS / name)
+    world = build_world(spec)
+    gc.collect()
+    executed = world.run(instants or spec.run_length)
+    assert executed == (instants or spec.run_length)
+    assert gc.collect() == 0
+
+
+# a full collection costs tens of ms in a test process, hence few examples
+@settings(max_examples=10, deadline=None)
+@given(_measured_worlds())
+def test_a_generated_world_run_makes_no_cyclic_garbage(spec):
+    world = build_world(spec)
+    gc.collect()
+    world.run(4 * spec.height)
+    assert gc.collect() == 0
+
+
+def ticker():
+    while True:
+        yield COOPERATE
+
+
+def diverging_world():
+    w = World(5, 5, microstep_budget=50)
+    e = w.sched.new_event()
+
+    def spinner():
+        while True:
+            w.sched.generate(e, 0)
+            yield Await(e)  # present, resumes at once, never suspends
+
+    w.sched.spawn(spinner())
+    return w
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_state(enabled, collector_state):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    w = World(5, 5)
+    w.sched.spawn(ticker())
+    seen = []
+    w.run(3, on_instant=lambda world, report: seen.append(gc.isenabled()))
+    assert seen == [False, False, False]
+    assert gc.isenabled() is enabled
+
+    with pytest.raises(DivergenceError):
+        diverging_world().run(3)
+    assert gc.isenabled() is enabled
+
+
+def test_a_world_dropped_after_run_scenario_is_freed(monkeypatch):
+    # a world is full of reference cycles (generators -> world -> scheduler),
+    # so only the collector frees it; run_scenario must not keep it alive
+    refs = []
+
+    def build(spec):
+        world = build_world(spec)
+        refs.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(cli, "build_world", build)
+    spec = load_scenario(SCENARIOS / "single.scn")
+    cli.run_scenario(replace(spec, seed=3), instants=60)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None

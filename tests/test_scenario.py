@@ -306,6 +306,21 @@ def _specs(draw):
     )
 
 
+def assert_only_walls_lack_triggers_and_all_else_is_interior(world):
+    """What lets a transmit index its three forward neighbours unchecked."""
+    grid = world.grid
+    for c in grid.cells():
+        assert (c.trigger is None) == (c.kind is BRICK), c
+        if c.kind is not BRICK:
+            assert 1 <= c.x <= grid.width - 2 and 1 <= c.y <= grid.height - 2, c
+
+
+@pytest.mark.parametrize("name", ["single.scn", "entangled.scn", "young200.scn"])
+def test_shipped_worlds_keep_the_direct_index_premise(name):
+    spec = parse_scenario((SCENARIOS / name).read_text())
+    assert_only_walls_lack_triggers_and_all_else_is_interior(build_world(spec))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_specs())
 def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
@@ -313,6 +328,7 @@ def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
         world = build_world(spec)
     except ScenarioError:
         return
+    assert_only_walls_lack_triggers_and_all_else_is_interior(world)
     run_world(world, 40)
 
 

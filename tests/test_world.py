@@ -2,17 +2,9 @@
 
 import pytest
 
-from syncell import COOPERATE, BRICK, DOWN, Holder, UP, World
+from syncell import COOPERATE, DOWN, Holder, UP, World
 from syncell.scenario import fire
-from syncell.world import (
-    Activation,
-    add_state,
-    awake_neighbour,
-    awake_neighbourhood,
-    cell_reset,
-    combine,
-    increm_state,
-)
+from syncell.world import Activation, awake_neighbourhood, cell_reset, combine
 
 
 def open_world(width=31, height=31, seed=0):
@@ -32,36 +24,6 @@ def fire_once(w, x, y, state=0, direction=UP):
 def run_to(w, clock):
     while w.sched.clock < clock:
         w.sched.run_instant()
-
-
-# -- state arithmetic -----------------------------------------------------------
-
-
-def test_add_state_wraps_modulo_base():
-    w = World(5, 5)
-    c = w.grid.cell(2, 2)
-    c.basic_state = 4
-    add_state(w, c, 5)
-    assert c.basic_state == 3
-    add_state(w, c, 0)
-    assert c.basic_state == 3
-    c.basic_state = 5
-    add_state(w, c, 1)
-    assert c.basic_state == 0
-
-
-def test_increm_state_six_times_is_identity():
-    w = World(5, 5)
-    c = w.grid.cell(2, 2)
-    increm_state(w, c)
-    assert c.basic_state == 1
-    c.basic_state = 5
-    increm_state(w, c)
-    assert c.basic_state == 0
-    before = c.basic_state
-    for _ in range(6):
-        increm_state(w, c)
-    assert c.basic_state == before
 
 
 # -- triggering ----------------------------------------------------------------
@@ -85,21 +47,30 @@ def in_active_phase(w, fn):
     w.sched.run_instant()
 
 
-def test_awake_neighbour_skips_bricks_and_carries_state():
+def triggered_coords(w):
+    return [
+        (x, y)
+        for y in range(w.grid.height)
+        for x in range(w.grid.width)
+        if w.grid.cell(x, y).trigger is not None and w.grid.cell(x, y).trigger.present
+    ]
+
+
+def test_awake_neighbourhood_skips_bricks_and_carries_state():
     w = World(9, 9)
     c = prepared_cell(w, 4, 4, UP, state=3)
-    wallward = w.grid.cell(4, 3)
-    wallward.kind = BRICK
-    open_target = w.grid.cell(5, 3)
+    w.grid.set_brick(4, 3)
     seen = {}
 
     def act():
-        awake_neighbour(w, c, 0, -1, Activation(c.kind, c.basic_state, c.ctx))  # brick: nothing generated
-        awake_neighbour(w, c, 1, -1, Activation(c.kind, c.basic_state, c.ctx))
-        seen["open"] = list(open_target.trigger.values)
+        awake_neighbourhood(w, c)  # brick straight ahead: nothing generated there
+        seen["hit"] = triggered_coords(w)
+        seen["values"] = [list(w.grid.cell(x, 3).trigger.values) for x in (3, 5)]
 
     in_active_phase(w, act)
-    assert seen["open"] == [Activation(UP, 3, c.ctx)]
+    assert seen["hit"] == [(3, 3), (5, 3)]
+    assert seen["values"] == [[Activation(UP, 3, c.ctx)]] * 2
+    assert c.ctx.last_transmit == 0
 
 
 def test_two_emitters_stack_activations_on_one_trigger():
@@ -110,21 +81,12 @@ def test_two_emitters_stack_activations_on_one_trigger():
     seen = {}
 
     def act():
-        awake_neighbour(w, a, 1, -1, Activation(a.kind, a.basic_state, a.ctx))
-        awake_neighbour(w, b, -1, -1, Activation(b.kind, b.basic_state, b.ctx))
+        awake_neighbourhood(w, a)
+        awake_neighbourhood(w, b)
         seen["values"] = list(target.trigger.values)
 
     in_active_phase(w, act)
     assert seen["values"] == [Activation(UP, 1, a.ctx), Activation(UP, 2, b.ctx)]
-
-
-def triggered_coords(w):
-    return [
-        (x, y)
-        for y in range(w.grid.height)
-        for x in range(w.grid.width)
-        if w.grid.cell(x, y).trigger is not None and w.grid.cell(x, y).trigger.present
-    ]
 
 
 def test_awake_neighbourhood_offsets_up_and_down():
@@ -167,6 +129,25 @@ def test_brick_caller_cannot_transmit():
 
 
 # -- combine / reset -------------------------------------------------------------
+
+
+def test_combine_adds_states_modulo_base():
+    w = World(5, 5)
+    c = w.grid.cell(2, 2)
+    ctx = w.new_context()
+    c.basic_state = 4
+    combine(w, c, Activation(UP, 5, ctx))
+    assert c.basic_state == 3
+    combine(w, c, Activation(UP, 0, ctx))
+    assert c.basic_state == 3
+    c.basic_state = 5
+    combine(w, c, Activation(UP, 1, ctx))
+    assert c.basic_state == 0
+    w3 = World(5, 5, base=3)
+    c3 = w3.grid.cell(2, 2)
+    combine(w3, c3, Activation(UP, 2, ctx))
+    combine(w3, c3, Activation(UP, 2, ctx))
+    assert c3.basic_state == 1
 
 
 def test_combine_adds_states_and_rebinds_context():
@@ -258,6 +239,15 @@ def test_dead_cell_triggered_cycle_timing():
     run_to(w, 3)  # instant 2: retransmission reaches the row above
     assert got["above"] == (2, True)
     assert target not in w.visible and target.basic_state == 0  # reset closed the cycle
+
+
+@pytest.mark.parametrize("base, state", [(6, 5), (6, 0), (3, 2), (2, 1)])
+def test_one_cycle_settles_the_fired_state_plus_one_modulo_base(base, state):
+    w = World(15, 15, base=base)
+    w.spawn_cell_behaviors()
+    fire_once(w, 7, 12, state=state)
+    run_to(w, 2)
+    assert w.snapshot() == [(7, 12, (state + 1) % base)]
 
 
 def test_measured_cell_does_not_retransmit():
