@@ -31,19 +31,20 @@ from .world import (
     UP,
     World,
 )
-from .measure import Detector, REDUCE_WINDOW, choose
+from .measure import REDUCE_WINDOW, choose
 from .particles import RealParticle
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
     build_world,
+    expected_distribution,
     fire,
     load_scenario,
     parse_scenario,
+    run_scenario,
 )
 from .render import FrameBuffer
 from .stats import RunReport, frequency_table
-from .cli import expected_distribution, run_scenario
 
 __all__ = [
     "Activation",
@@ -54,7 +55,6 @@ __all__ = [
     "CellKind",
     "Collect",
     "DOWN",
-    "Detector",
     "DivergenceError",
     "Event",
     "FrameBuffer",

@@ -1,4 +1,5 @@
-"""Command-line front end: run scenarios, write frames and stats, compare slits."""
+"""Command-line front end: argument parsing, ``main`` and ``compare``. The
+drivers it calls live in ``syncell.scenario``; ``import syncell`` skips this."""
 
 from __future__ import annotations
 
@@ -10,96 +11,15 @@ from dataclasses import replace
 from itertools import chain
 
 from .kernel import DivergenceError
-from .render import FrameBuffer
 from .scenario import (
     ScenarioError,
     ScenarioSpec,
-    build_world,
     load_scenario,
     parse_scenario,
+    run_scenario,
+    run_world,  # noqa: F401  (perfbench looks it up on this module)
 )
-from .stats import (
-    FrequencyRow,
-    RunReport,
-    frequency_csv,
-    frequency_text,
-    state_fractions,
-)
-from .world import World
-
-
-class DetectorNotReachedError(ScenarioError):
-    pass
-
-
-def run_world(
-    world: World,
-    instants: int,
-    frames_dir: str | None = None,
-    remanence: bool = False,
-    ascii_frames: bool = False,
-) -> RunReport:
-    """Drive a built world for up to ``instants`` instants and report."""
-    fb = None
-    writer = None
-    if frames_dir is not None:
-        os.makedirs(frames_dir, exist_ok=True)
-        fb = FrameBuffer(world.grid.width, world.grid.height, remanence=remanence)
-
-        def writer(w: World, report):
-            fb.paint(w)
-            stem = os.path.join(frames_dir, f"frame_{report.instant:06d}")
-            with open(stem + ".ppm", "wb") as fh:
-                fh.write(fb.to_ppm_bytes())
-            if ascii_frames:
-                with open(stem + ".txt", "w", encoding="ascii") as fh:
-                    fh.write(fb.to_ascii())
-
-    executed = world.run(instants, on_instant=writer)
-    return RunReport.from_world(world, executed)
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    instants: int | None = None,
-    seed: int | None = None,
-    frames_dir: str | None = None,
-    remanence: bool = False,
-    ascii_frames: bool = False,
-) -> RunReport:
-    """Build and run a scenario; CLI flags override the file's [run] values."""
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    world = build_world(spec)
-    budget = instants if instants is not None else spec.run_length
-    return run_world(world, budget, frames_dir, remanence, ascii_frames)
-
-
-def expected_distribution(world: World, detector_index: int, instants: int):
-    """Per-state fractions of the superposition a detector would measure.
-
-    Runs the world with measurement disabled until the detector's first
-    contact, then reads the contacted superposition's census. The world must
-    be freshly built. Raises DetectorNotReachedError if nothing arrives
-    within ``instants``.
-    """
-    world.measure_enabled = False
-    contact = None
-    executed = 0
-    while executed < instants and contact is None:
-        world.sched.run_instant()
-        executed += 1
-        for rec in world.stats.detections:
-            if rec.detector == detector_index:
-                contact = rec
-                break
-        if world.sched.is_quiet():
-            break
-    if contact is None:
-        raise DetectorNotReachedError(
-            f"detector {detector_index} saw no superposition within {instants} instants"
-        )
-    return state_fractions(contact.state_counts)
+from .stats import FrequencyRow, frequency_csv, frequency_text
 
 
 # -- compare ------------------------------------------------------------------
@@ -243,8 +163,7 @@ def main(argv=None) -> int:
                 runs=args.runs,
                 jobs=args.jobs,
             )
-            base = parse_scenario(text).base
-            csv = frequency_csv(rows, base=base)
+            csv = frequency_csv(rows)
             if args.out:
                 with open(args.out, "w", encoding="ascii") as fh:
                     fh.write(csv)

@@ -251,9 +251,6 @@ class Scheduler:
         self._clock += 1
         return InstantReport(instant, self.alive, self.terminated, self._generated)
 
-    def run(self, instants: int) -> list[InstantReport]:
-        return [self.run_instant() for _ in range(instants)]
-
     def is_quiet(self) -> bool:
         """True when nothing can ever run again without external input.
 

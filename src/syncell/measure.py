@@ -13,12 +13,11 @@ checkable claim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .kernel import COOPERATE, Collect
 from .particles import RealParticle
 from .stats import DetectionRecord, ReductionRecord
-from .world import BRICK, Cell, CellKind, World, direction_dy
+from .world import BRICK, Cell, World, direction_dy
 
 # instants from the measurement broadcast to the member cells' reset
 REDUCE_WINDOW = 5
@@ -31,42 +30,29 @@ def choose(ids: list, rng: random.Random):
     return ids[rng.randrange(len(ids))]
 
 
-@dataclass
-class Detector:
-    """A zone that measures superpositions of one direction passing through.
-
-    ``zone`` is an inclusive cell rectangle (x0, y0, x1, y1). A detector
-    fires the measurement event of a given superposition at most once,
-    however many of its cells cross the zone.
-    """
-
-    zone: tuple[int, int, int, int]
-    accepted_kind: CellKind
-    detections: int = 0
-    seen: set = field(default_factory=set)
-
-
-def detector_behavior(world: World, d: Detector, index: int):
-    """Scan the zone every instant; fire each passing context's measurement.
+def detector_behavior(world: World, d, index: int):
+    """Scan a ``DetectorSpec``'s zone every instant; fire the measurement of
+    each superposition of the accepted direction passing through, at most
+    once per superposition however many of its cells cross the zone.
 
     With ``world.measure_enabled`` off the detector only records contacts
     (used to read off the undisturbed superposition a detector would see).
     """
-    x0, y0, x1, y1 = d.zone
     zone_cells = [
         c
-        for y in range(y0, y1 + 1)
-        for x in range(x0, x1 + 1)
+        for y in range(d.y0, d.y1 + 1)
+        for x in range(d.x0, d.x1 + 1)
         if (c := world.grid.cell(x, y)).kind is not BRICK
     ]
+    seen = set()
     sched = world.sched
     while True:
         for c in zone_cells:
-            if c in world.visible and c.kind is d.accepted_kind:
+            if c in world.visible and c.kind is d.kind:
                 ctx = c.ctx
-                if ctx.serial in d.seen:
+                if ctx.serial in seen:
                     continue
-                d.seen.add(ctx.serial)
+                seen.add(ctx.serial)
                 counts = world.superposition_census(ctx)
                 rec = DetectionRecord(
                     instant=sched.clock,
@@ -80,7 +66,6 @@ def detector_behavior(world: World, d: Detector, index: int):
                 )
                 world.stats.record_contact(rec)
                 if world.measure_enabled:
-                    d.detections += 1
                     sched.generate(ctx.measure, ())
         yield COOPERATE
 

@@ -56,9 +56,8 @@ class FrameBuffer:
             if c.kind is BRICK:
                 static[c.y * width + c.x] = WALL
         for d in world.detectors:
-            x0, y0, x1, y1 = d.zone
-            for y in range(y0, y1 + 1):
-                for x in range(x0, x1 + 1):
+            for y in range(d.y0, d.y1 + 1):
+                for x in range(d.x0, d.x1 + 1):
                     static[y * width + x] = DETECTOR
         for s in world.sources:
             static[s.y * width + s.x] = SOURCE

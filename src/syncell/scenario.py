@@ -1,4 +1,5 @@
-"""Scenario definition: the text format, its specs, and the world they build.
+"""Scenario definition: the text format, its specs, the world they build,
+and the drivers that run it.
 
 A scenario is a small line-based text file:
 
@@ -50,11 +51,14 @@ fire their first shots in the first instant run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .kernel import COOPERATE, Event
-from .measure import Detector, detector_behavior
+from .measure import detector_behavior
+from .render import FrameBuffer
+from .stats import RunReport, digest_text, state_fractions
 from .world import (
     Activation,
     BRICK,
@@ -65,16 +69,20 @@ from .world import (
     MeasurementContext,
     UP,
     World,
+    collector_paused,
     direction_dy,
     opposite,
 )
-from .stats import digest_text
 
 MAX_CELLS = 1_000_000  # the largest grid build_world allocates
 
 
 class ScenarioError(Exception):
     """A scenario file or spec that cannot be built, with a location hint."""
+
+
+class DetectorNotReachedError(ScenarioError):
+    """A probed detector does not exist or saw no superposition in time."""
 
 
 @dataclass
@@ -311,9 +319,11 @@ def _check_inside(spec: ScenarioSpec, x: int, y: int, what: str, line: int) -> N
         )
 
 
+@collector_paused()
 def build_world(spec: ScenarioSpec) -> World:
     """Construct the world: geometry, one behavior per cell, one emitter per
-    source, one behavior per detector. The first shots fire in instant 0."""
+    source, one behavior per detector. The first shots fire in instant 0.
+    The cyclic collector is paused while it builds."""
     if not (2 <= spec.base <= 6):
         raise ScenarioError(f"base must be within 2..6, got {spec.base}")
     if spec.width < 3 or spec.height < 3:
@@ -409,9 +419,87 @@ def build_world(spec: ScenarioSpec) -> World:
             raise ScenarioError(
                 f"detector #{i} (line {d.line}): zone covers only wall cells"
             )
-        detector = Detector((d.x0, d.y0, d.x1, d.y1), d.kind)
-        world.detectors.append(detector)
-        world.sched.spawn(detector_behavior(world, detector, i))
+        world.detectors.append(d)
+        world.sched.spawn(detector_behavior(world, d, i))
 
     return world
+
+
+# -- running ------------------------------------------------------------------
+
+
+def run_world(
+    world: World,
+    instants: int,
+    frames_dir: str | None = None,
+    remanence: bool = False,
+    ascii_frames: bool = False,
+) -> RunReport:
+    """Drive a built world for up to ``instants`` instants and report."""
+    writer = None
+    if frames_dir is not None:
+        os.makedirs(frames_dir, exist_ok=True)
+        fb = FrameBuffer(world.grid.width, world.grid.height, remanence=remanence)
+
+        def writer(w: World, report):
+            fb.paint(w)
+            stem = os.path.join(frames_dir, f"frame_{report.instant:06d}")
+            with open(stem + ".ppm", "wb") as fh:
+                fh.write(fb.to_ppm_bytes())
+            if ascii_frames:
+                with open(stem + ".txt", "w", encoding="ascii") as fh:
+                    fh.write(fb.to_ascii())
+
+    executed = world.run(instants, on_instant=writer)
+    return RunReport.from_world(world, executed)
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    instants: int | None = None,
+    seed: int | None = None,
+    frames_dir: str | None = None,
+    remanence: bool = False,
+    ascii_frames: bool = False,
+) -> RunReport:
+    """Build and run a scenario; ``instants`` and ``seed`` override the
+    spec's [run] values."""
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    world = build_world(spec)
+    budget = instants if instants is not None else spec.run_length
+    return run_world(world, budget, frames_dir, remanence, ascii_frames)
+
+
+class _Contact(Exception):
+    """Ends a probe run at the probed detector's first contact."""
+
+
+def expected_distribution(world: World, detector_index: int, instants: int):
+    """Per-state fractions of the superposition a detector would measure.
+
+    Runs the world with measurement disabled until the detector's first
+    contact, then reads the contacted superposition's census. The world must
+    be freshly built. Raises DetectorNotReachedError if the detector does not
+    exist (before running anything) or nothing arrives within ``instants``.
+    """
+    if detector_index not in range(len(world.detectors)):
+        raise DetectorNotReachedError(
+            f"detector {detector_index} does not exist "
+            f"(the world has {len(world.detectors)})"
+        )
+    world.measure_enabled = False
+
+    def stop_at_contact(w: World, report):
+        for rec in w.stats.detections:
+            if rec.detector == detector_index:
+                raise _Contact(rec)
+
+    try:
+        world.run(instants, on_instant=stop_at_contact)
+    except _Contact as contact:
+        return state_fractions(contact.args[0].state_counts)
+    raise DetectorNotReachedError(
+        f"detector {detector_index} saw no superposition within {instants} instants"
+    )
 

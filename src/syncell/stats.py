@@ -178,7 +178,8 @@ def frequency_table(reports, labels=None) -> list[FrequencyRow]:
     ]
 
 
-def frequency_csv(rows: list[FrequencyRow], base: int = 6) -> str:
+def frequency_csv(rows: list[FrequencyRow]) -> str:
+    base = len(rows[0].fractions) if rows else 0
     cols = ",".join(f"state{s}" for s in range(base))
     lines = [f"variant,{cols},total"]
     for row in rows:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import random
+from contextlib import contextmanager
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -36,6 +37,21 @@ BRICK = CellKind.BRICK
 
 # grid convention: UP means decreasing y, DOWN means increasing y
 _DY = {UP: -1, DOWN: 1}
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector; restore the caller's setting on exit,
+    also when the body raises. Building and running a world make no cyclic
+    garbage, so a pass there would only re-walk its cells, events and
+    generators."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def direction_dy(kind: CellKind) -> int:
@@ -270,15 +286,12 @@ class World:
         every instant, so a world with either never stops early. Returns the
         number of instants actually executed.
 
-        The cyclic garbage collector is paused for the run and restored as
-        the caller had it, even if the run raises: a run makes no cyclic
-        garbage, so a pass would only re-walk the world's cells, events and
-        generators. Cycles made by ``on_instant`` are freed after the run.
+        The cyclic garbage collector is paused for the run
+        (``collector_paused``). Cycles made by ``on_instant`` are freed after
+        the run.
         """
         executed = 0
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             for _ in range(instants):
                 report = self.sched.run_instant()
                 executed += 1
@@ -286,9 +299,6 @@ class World:
                     on_instant(self, report)
                 if self.sched.is_quiet():
                     break
-        finally:
-            if collecting:
-                gc.enable()
         return executed
 
 

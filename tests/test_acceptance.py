@@ -15,15 +15,17 @@ from pathlib import Path
 import pytest
 
 from syncell import COOPERATE, FrameBuffer, Holder, UP, World
-from syncell.cli import expected_distribution, main, run_world
+from syncell.cli import main
 from syncell.kernel import Await, Collect, Scheduler
 from syncell.measure import REDUCE_WINDOW
 from syncell.particles import RealParticle, step_particle
 from syncell.scenario import (
     SourceSpec,
     build_world,
+    expected_distribution,
     fire,
     load_scenario,
+    run_world,
 )
 from syncell.world import BRICK
 
@@ -115,7 +117,8 @@ def test_criterion_1_kernel_semantics():
         for i in range(n):
             sched.spawn(waiter(i))
         sched.spawn(producer())
-        sched.run(delay + 2)
+        for _ in range(delay + 2):
+            sched.run_instant()
         assert sorted(resumed) == [(i, delay) for i in range(n)]
 
     # collection exactness: a collector sees exactly its opening instant
@@ -140,7 +143,8 @@ def test_criterion_1_kernel_semantics():
 
         sched.spawn(producer())
         sched.spawn(collector())
-        sched.run(7)
+        for _ in range(7):
+            sched.run_instant()
         assert sorted(got[0]) == sorted(v for t, v in plan if t == open_at)
 
     elapsed = time.monotonic() - t0

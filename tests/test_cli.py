@@ -2,6 +2,9 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from syncell.cli import (
     worker_count,
 )
 from syncell.stats import frequency_csv, frequency_text
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = """\
 [grid]
@@ -157,10 +162,10 @@ def test_missing_file_and_parse_error_exit_2(tmp_path, capsys):
 
 def test_divergent_behavior_exits_3(tmp_path, capsys, monkeypatch):
     # rig a world whose first instant spins forever
-    import syncell.cli as cli_mod
+    import syncell.scenario as scenario_mod
     from syncell.kernel import Await
 
-    real_build = cli_mod.build_world
+    real_build = scenario_mod.build_world
 
     def sabotaged(spec):
         world = real_build(spec)
@@ -175,7 +180,7 @@ def test_divergent_behavior_exits_3(tmp_path, capsys, monkeypatch):
         world.sched.spawn(spinner())
         return world
 
-    monkeypatch.setattr(cli_mod, "build_world", sabotaged)
+    monkeypatch.setattr(scenario_mod, "build_world", sabotaged)
     scn = tmp_path / "s.scn"
     scn.write_text(SMALL)
     assert main(["run", "--scenario", str(scn)]) == EXIT_DIVERGENCE
@@ -268,23 +273,62 @@ def test_compare_needs_an_open_slit(tmp_path):
 
 
 def test_expected_distribution_reads_the_first_contact():
-    from syncell.cli import expected_distribution
-    from syncell.scenario import build_world, parse_scenario
+    from syncell.scenario import build_world, expected_distribution, parse_scenario
+    from test_measure import measured_contacts
 
     world = build_world(parse_scenario(SMALL))
     fractions = expected_distribution(world, 0, 100)
     assert abs(sum(fractions.values()) - 1.0) < 1e-9
     assert all(0 < f <= 1 for f in fractions.values())
     # probing never measures: no outcome, no particle
-    assert world.detectors[0].detections == 0
+    assert measured_contacts(world) == 0
     assert world.particles == []
 
 
 def test_expected_distribution_errors_when_nothing_arrives():
-    from syncell.cli import DetectorNotReachedError, expected_distribution
-    from syncell.scenario import build_world, parse_scenario
+    from syncell.scenario import (
+        DetectorNotReachedError,
+        build_world,
+        expected_distribution,
+        parse_scenario,
+    )
 
     silent = SMALL.replace("shots=2", "shots=0")
     world = build_world(parse_scenario(silent))
     with pytest.raises(DetectorNotReachedError):
         expected_distribution(world, 0, 50)
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_expected_distribution_rejects_a_missing_detector_before_running(index):
+    from syncell.scenario import (
+        DetectorNotReachedError,
+        build_world,
+        expected_distribution,
+        load_scenario,
+    )
+
+    world = build_world(load_scenario(ROOT / "scenarios" / "single.scn"))
+    with pytest.raises(DetectorNotReachedError, match=f"detector {index} does not exist"):
+        expected_distribution(world, index, 2000)
+    assert world.sched.clock == 0
+
+
+def python(*args):
+    """Run a fresh interpreter on this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_the_cli_module_runs_without_warnings():
+    done = python("-W", "error", "-m", "syncell.cli", "run", "--scenario", "scenarios/single.scn")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "detections_total=" in done.stdout
+
+
+def test_importing_the_library_leaves_the_cli_unloaded():
+    done = python("-c", "import sys, syncell; print('syncell.cli' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")

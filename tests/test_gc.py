@@ -1,5 +1,6 @@
-"""The cyclic collector is paused during ``World.run``: a run makes no cyclic
-garbage, the caller's collector state comes back, and a world is still freed."""
+"""The cyclic collector is paused during ``build_world`` and ``World.run``:
+neither makes cyclic garbage, the caller's collector state comes back, and a
+world is still freed."""
 
 import gc
 import weakref
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from syncell import COOPERATE, World, build_world, cli, load_scenario
+from syncell import COOPERATE, ScenarioError, World, build_world, load_scenario, scenario
 from syncell.kernel import Await, DivergenceError
+from syncell.scenario import WallSpec
 
 from test_measure import _measured_worlds
 
@@ -34,8 +36,9 @@ def collector_state():
 )
 def test_a_run_makes_no_cyclic_garbage(name, instants):
     spec = load_scenario(SCENARIOS / name)
-    world = build_world(spec)
     gc.collect()
+    world = build_world(spec)
+    assert gc.collect() == 0
     executed = world.run(instants or spec.run_length)
     assert executed == (instants or spec.run_length)
     assert gc.collect() == 0
@@ -87,6 +90,34 @@ def test_run_restores_the_callers_collector_state(enabled, collector_state):
     assert gc.isenabled() is enabled
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_restores_the_callers_collector_state(enabled, collector_state, monkeypatch):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    seen = []
+    spawn = World.spawn_cell_behaviors
+
+    def spawn_and_look(world):
+        seen.append(gc.isenabled())
+        return spawn(world)
+
+    monkeypatch.setattr(World, "spawn_cell_behaviors", spawn_and_look)
+    spec = load_scenario(SCENARIOS / "single.scn")
+    build_world(spec)
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+    # rejected after the grid and the cell behaviors exist
+    [s] = spec.sources
+    on_wall = replace(spec, walls=[WallSpec(x0=s.x, y0=s.y, x1=s.x, y1=s.y)])
+    with pytest.raises(ScenarioError, match="sits on a wall"):
+        build_world(on_wall)
+    assert seen == [False, False]
+    assert gc.isenabled() is enabled
+
+
 def test_a_world_dropped_after_run_scenario_is_freed(monkeypatch):
     # a world is full of reference cycles (generators -> world -> scheduler),
     # so only the collector frees it; run_scenario must not keep it alive
@@ -97,8 +128,8 @@ def test_a_world_dropped_after_run_scenario_is_freed(monkeypatch):
         refs.append(weakref.ref(world))
         return world
 
-    monkeypatch.setattr(cli, "build_world", build)
+    monkeypatch.setattr(scenario, "build_world", build)
     spec = load_scenario(SCENARIOS / "single.scn")
-    cli.run_scenario(replace(spec, seed=3), instants=60)
+    scenario.run_scenario(replace(spec, seed=3), instants=60)
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from syncell import build_world, load_scenario, parse_scenario
-from syncell.scenario import ScenarioSpec, SourceSpec
-from syncell.cli import run_world
+from syncell.scenario import ScenarioSpec, SourceSpec, run_world
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

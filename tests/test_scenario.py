@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from syncell import BRICK, COOPERATE, DOWN, Holder, UP, World
 from syncell import scenario
-from syncell.cli import run_world
 from syncell.scenario import (
     DetectorSpec,
     MAX_CELLS,
@@ -20,6 +19,7 @@ from syncell.scenario import (
     emitter,
     fire,
     parse_scenario,
+    run_world,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

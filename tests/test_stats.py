@@ -14,7 +14,7 @@ def report_with_counts(counts, seed=42):
     return RunReport(
         seed=seed,
         instants=100,
-        base=6,
+        base=len(counts),
         scenario_digest="d" * 64,
         detector_counts=[list(counts)],
         detector_sizes=[[sum(counts)]],
@@ -36,9 +36,12 @@ def test_frequency_table_normalizes_counts():
 
 
 def test_zero_detections_row_is_flagged_empty():
-    [row] = frequency_table([report_with_counts([0] * 6)])
-    assert row.empty and row.fractions == [0.0] * 6
-    assert "(no detections)" in frequency_csv([row])
+    for base in (6, 3):
+        [row] = frequency_table([report_with_counts([0] * base)])
+        assert row.empty and row.fractions == [0.0] * base
+        header, line = frequency_csv([row]).splitlines()
+        assert header == "variant," + "".join(f"state{s}," for s in range(base)) + "total"
+        assert line == "run0 (no detections)," + "0.000000," * base + "0"
 
 
 def test_single_state_gives_a_unit_entry():
