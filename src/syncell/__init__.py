@@ -10,6 +10,7 @@ collapses both, to the same state, in the same instant.
 
 from .kernel import (
     Await,
+    AwaitCollect,
     COOPERATE,
     Collect,
     DivergenceError,
@@ -49,6 +50,7 @@ from .stats import RunReport, frequency_table
 __all__ = [
     "Activation",
     "Await",
+    "AwaitCollect",
     "BRICK",
     "COOPERATE",
     "Cell",

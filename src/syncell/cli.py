@@ -6,9 +6,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 from dataclasses import replace
-from itertools import chain
 
 from .kernel import DivergenceError
 from .scenario import (
@@ -45,6 +44,26 @@ def worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+def _completed_counts(tasks, workers: int):
+    """Yield ``(tag, _variant_counts(args))`` for each ``(tag, args)`` task as
+    it finishes. With a pool, at most two tasks per worker are in flight, so
+    memory does not grow with the number of tasks."""
+    if workers <= 1:
+        for tag, args in tasks:
+            yield tag, _variant_counts(args)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = {}
+        for tag, args in tasks:
+            if len(pending) == 2 * workers:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    yield pending.pop(future), future.result()
+            pending[pool.submit(_variant_counts, args)] = tag
+        for future in as_completed(pending):
+            yield pending[future], future.result()
+
+
 def compare_slits(
     text: str,
     close_index: int | None = None,
@@ -74,22 +93,17 @@ def compare_slits(
          {close_index}),
         (f"{len(open_slits)} slits", set()),
     ]
-    tasks = []
-    for _, closed in variants:
-        for r in range(runs):
-            tasks.append((text, closed, seed + r, instants))
-
-    workers = worker_count(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_variant_counts, tasks))
-    else:
-        results = [_variant_counts(t) for t in tasks]
+    tasks = (
+        (vi, (text, closed, seed + r, instants))
+        for vi, (_, closed) in enumerate(variants)
+        for r in range(runs)
+    )
+    sums = [[0] * spec.base for _ in variants]
+    for vi, counts in _completed_counts(tasks, worker_count(jobs, 2 * runs)):
+        sums[vi] = [sum(column) for column in zip(sums[vi], *counts)]
 
     return [
-        FrequencyRow.from_counts(
-            label, chain.from_iterable(results[vi * runs : (vi + 1) * runs]), spec.base
-        )
+        FrequencyRow.from_counts(label, [sums[vi]], spec.base)
         for vi, (label, _) in enumerate(variants)
     ]
 

@@ -13,6 +13,11 @@ A behavior is a generator. It suspends by yielding a command:
                        already was this instant)
     yield Collect(e)   resume at the start of the next instant with the list
                        of values generated on e during the current instant
+    yield AwaitCollect(e)
+                       Await, then Collect with no step between: resume at
+                       the start of the instant after the one e is generated
+                       in, with that instant's values on e (ReactiveML's
+                       valued ``await e(x) in ...``)
     yield COOPERATE    resume at the start of the next instant
 
 and it acts without suspending by calling ``Scheduler.generate(e, value)``
@@ -22,16 +27,16 @@ of the next instant).
 
 Dispatch is deterministic: behaviors that become runnable together are
 ordered by their spawn id, so two runs of the same program produce identical
-event traces. Resumptions due at an instant's start sort as ``(bid, task,
-value)`` entries by the unique spawn id; behaviors spawned since the last
-instant started follow them all, in spawn order, as spawn ids only grow.
+event traces. An instant runs one list of ``(bid, gen, value)`` entries: the
+resumptions due at its start, sorted by the unique spawn id, then the
+behaviors spawned since the last instant started, in spawn order (spawn ids
+only grow), then the awaiters woken during the instant, in the order of
+their wake-ups.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Generator
 
 Behavior = Generator  # a behavior is any generator yielding kernel commands
@@ -68,7 +73,8 @@ class Event:
     def __init__(self, eid: int):
         self.eid = eid
         self.values: list = []
-        self.waiters: list[_Task] = []
+        # parked behaviors: (bid, gen, None) awaits, (bid, gen, self) collects
+        self.waiters: list[tuple] = []
 
     @property
     def present(self) -> bool:
@@ -96,6 +102,16 @@ class Collect:
         self.event = event
 
 
+class AwaitCollect:
+    """Suspend until the event is generated, then collect that instant's
+    values: ``Await`` then ``Collect`` without the step between them."""
+
+    __slots__ = ("event",)
+
+    def __init__(self, event: Event):
+        self.event = event
+
+
 class _Cooperate:
     __slots__ = ()
 
@@ -106,24 +122,13 @@ class _Cooperate:
 COOPERATE = _Cooperate()
 
 
-class _Task:
-    __slots__ = ("bid", "gen", "value")
-
-    def __init__(self, bid: int, gen: Behavior):
-        self.bid = bid
-        self.gen = gen
-        self.value: Any = None
-
-
-_task_bid = attrgetter("bid")
-
-
 @dataclass(frozen=True)
 class InstantReport:
     instant: int
     alive: int
     terminated: int
     generated: int
+    steps: int  # micro-steps: behavior resumptions in this instant
 
 
 class Scheduler:
@@ -133,11 +138,11 @@ class Scheduler:
         self.microstep_budget = microstep_budget
         self._clock = 0
         self._active = False  # in the active phase of an instant
-        self._queue: deque[_Task] = deque()
-        # (bid, task, value) entries to run at the next instant's start
-        self._resume: list[tuple[int, _Task, Any]] = []
-        self._pending_spawns: list[_Task] = []
-        self._collectors: list[tuple[_Task, Event]] = []
+        # (bid, gen, value) entries to run in this instant, and at the next start
+        self._run: list[tuple[int, Behavior, Any]] = []
+        self._resume: list[tuple[int, Behavior, Any]] = []
+        self._pending_spawns: list[tuple[int, Behavior, None]] = []
+        self._collectors: list[tuple[int, Behavior, Event]] = []  # resume with values
         self._touched: list[Event] = []
         self._next_bid = 0
         self._next_eid = 0
@@ -157,11 +162,11 @@ class Scheduler:
 
     def spawn(self, gen: Behavior) -> int:
         """Queue a behavior; it takes its first step next instant."""
-        task = _Task(self._next_bid, gen)
+        bid = self._next_bid
         self._next_bid += 1
-        self._pending_spawns.append(task)
+        self._pending_spawns.append((bid, gen, None))
         self.alive += 1
-        return task.bid
+        return bid
 
     def generate(self, event: Event, value: Any = None) -> None:
         """Broadcast a value on an event; wakes all awaiters this instant.
@@ -182,10 +187,9 @@ class Scheduler:
         waiters = event.waiters
         if waiters:
             if len(waiters) > 1:
-                waiters.sort(key=_task_bid)
-            for task in waiters:
-                task.value = None
-            self._queue.extend(waiters)
+                waiters.sort()  # by spawn id, which is unique
+            for entry in waiters:
+                (self._run if entry[2] is None else self._collectors).append(entry)
             waiters.clear()
 
     def run_instant(self) -> InstantReport:
@@ -194,24 +198,18 @@ class Scheduler:
         self._active = True
         self._generated = 0
 
-        # Admit everything scheduled for this instant, in spawn-id order.
-        ready = self._resume
+        run = self._resume
+        run.sort()
+        run += self._pending_spawns
+        self._run = run
         self._resume = resume = []
-        ready.sort()
-        queue = self._queue
-        for _, task, value in ready:
-            task.value = value
-            queue.append(task)
-        queue.extend(self._pending_spawns)
         self._pending_spawns = []
+        collectors = self._collectors
 
         steps = 0
         budget = self.microstep_budget
-        while queue:
-            task = queue.popleft()
-            gen = task.gen
-            value = task.value
-            task.value = None
+        # generate appends woken awaiters to run while it is iterated
+        for bid, gen, value in run:
             while True:
                 steps += 1
                 if steps > budget:
@@ -223,33 +221,41 @@ class Scheduler:
                     self.terminated += 1
                     break
                 if cmd is COOPERATE:
-                    resume.append((task.bid, task, None))
+                    resume.append((bid, gen, None))
                     break
                 cls = cmd.__class__
+                if cls is AwaitCollect:
+                    event = cmd.event
+                    if event.values:
+                        collectors.append((bid, gen, event))
+                    else:
+                        event.waiters.append((bid, gen, event))
+                    break
                 if cls is Collect:
-                    self._collectors.append((task, cmd.event))
+                    collectors.append((bid, gen, cmd.event))
                     break
                 if cls is Await:
                     event = cmd.event
                     if event.values:
                         value = None
                         continue
-                    event.waiters.append(task)
+                    event.waiters.append((bid, gen, None))
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
 
         # End of instant: collectors see exactly this instant's values,
         # then every touched event buffer is reset.
         self._active = False
-        for task, event in self._collectors:
-            resume.append((task.bid, task, list(event.values)))
-        self._collectors = []
+        self._run = []
+        for bid, gen, event in collectors:
+            resume.append((bid, gen, list(event.values)))
+        collectors.clear()
         for event in self._touched:
             event.values.clear()
         self._touched = []
 
         self._clock += 1
-        return InstantReport(instant, self.alive, self.terminated, self._generated)
+        return InstantReport(instant, self.alive, self.terminated, self._generated, steps)
 
     def is_quiet(self) -> bool:
         """True when nothing can ever run again without external input.
@@ -257,4 +263,4 @@ class Scheduler:
         Behaviors parked on never-generated events do not count: only a
         runnable behavior could wake them, and there is none.
         """
-        return not (self._resume or self._pending_spawns or self._queue)
+        return not (self._resume or self._pending_spawns)

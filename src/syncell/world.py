@@ -3,14 +3,14 @@
 A virtual particle is the set of visible cells of one emission: the keys of
 ``World.visible`` whose value is that emission's context. Each non-wall cell
 runs one ``cell_behavior`` on the shared scheduler. The cycle of a triggered
-cell spans instants: it wakes in the instant it is triggered, combines the
-collected activations, settles its state and becomes visible one instant
-later, and one instant after that either retransmits (one shared
-``Activation`` on the triggers of the three cells ahead, found by row-major
-index) or, if its measurement event fired, runs the reduction
-(``measure.reduce``) as the last phase of the same cycle. Every cycle ends
-with the cell reset to state 0 and dropped from ``World.visible``, so a
-wavefront row advances every two instants.
+cell spans instants: no step runs in the instant it is triggered; one
+instant later it resumes with every activation of that instant, combines
+them, settles its state and becomes visible, and one instant after that
+either retransmits (one shared ``Activation`` on the triggers of the three
+cells ahead, found by row-major index) or, if its measurement event fired,
+runs the reduction (``measure.reduce``) as the last phase of the same
+cycle. Every cycle ends with the cell reset to state 0 and dropped from
+``World.visible``, so a wavefront row advances every two instants.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .kernel import DEFAULT_MICROSTEP_BUDGET, Await, Collect, Event, Scheduler
+from .kernel import DEFAULT_MICROSTEP_BUDGET, AwaitCollect, Collect, Event, Scheduler
 from .stats import RunStats
 
 
@@ -326,13 +326,6 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
             sched.generate(trigger, a)
 
 
-def combine(world: World, c: Cell, a: Activation) -> None:
-    """Merge a triggering neighbour into this cell: direction, state, context."""
-    c.kind = a.kind
-    c.basic_state = (c.basic_state + a.basic_state) % world.base
-    c.ctx = a.ctx
-
-
 def cell_reset(world: World, c: Cell) -> None:
     c.basic_state = 0
     ctx = world.visible.pop(c, None)
@@ -344,20 +337,22 @@ def cell_behavior(world: World, c: Cell):
     """The non-terminating cycle of one cell (see the module docstring)."""
     from .measure import reduce
 
-    wait_trigger = Await(c.trigger)
-    collect_trigger = Collect(c.trigger)
+    collect_trigger = AwaitCollect(c.trigger)
     while True:
-        yield wait_trigger
-        # the trigger is present, so this instant's collection is non-empty
+        # resumes the instant after the trigger, with every activation of it
         activations = yield collect_trigger
         first_ctx = activations[0].ctx
         for a in activations:
             if a.ctx is not first_ctx:
                 world.ctx_collisions += 1
                 break
+        # combine: the states add up, plus one; the last activation sets
+        # the direction and the context
+        state = c.basic_state + 1
         for a in activations:
-            combine(world, c, a)
-        c.basic_state = (c.basic_state + 1) % world.base
+            state += a.basic_state
+        c.basic_state = state % world.base
+        c.kind, _, c.ctx = activations[-1]
         world.visible[c] = c.ctx
         measured = yield Collect(c.ctx.measure)
         if measured:

@@ -4,10 +4,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import syncell.cli as cli
 from syncell.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
@@ -209,6 +211,10 @@ def test_compare_merges_runs_and_matches_parallel_execution():
         (r.label, r.fractions, r.total) for r in par
     ]
     assert all(r.total == 80 for r in seq)
+    # more repetitions than a two-worker pool keeps in flight
+    assert compare_slits(TWO_SLIT, seed=3, runs=5, jobs=2) == compare_slits(
+        TWO_SLIT, seed=3, runs=5, jobs=1
+    )
 
 
 def test_compare_output_is_pinned():
@@ -218,6 +224,25 @@ def test_compare_output_is_pinned():
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "c5706fdcc0aafd5466560683362e1d47c80c8a5ce18e93f1b88cde898118a710"
     )
+
+
+def test_compare_runs_are_summed_as_they_finish_in_bounded_memory(monkeypatch):
+    def counts(args):  # two detectors; the closed-slit variant sees less
+        text, closed, seed, instants = args
+        return [[1, 0, 0, 0, 0, 0], [0, 0, 2 if closed else 3, 0, 0, 0]]
+
+    monkeypatch.setattr(cli, "_variant_counts", counts)
+    runs = 20_000  # 40,000 tasks; tracemalloc makes each one slow
+    tracemalloc.start()
+    try:
+        rows = compare_slits(TWO_SLIT, runs=runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.label, r.total) for r in rows] == [("1 slit", 3 * runs), ("2 slits", 4 * runs)]
+    assert rows[0].fractions == [1 / 3, 0.0, 2 / 3, 0.0, 0.0, 0.0]
+    assert rows[1].fractions == [1 / 4, 0.0, 3 / 4, 0.0, 0.0, 0.0]
+    assert peak < 256 * 1024
 
 
 def test_worker_count_never_exceeds_tasks_or_cpus(monkeypatch):

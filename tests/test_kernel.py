@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from syncell.kernel import (
     Await,
+    AwaitCollect,
     COOPERATE,
     Collect,
     DivergenceError,
@@ -144,6 +145,86 @@ def test_collect_returns_exactly_the_opening_instants_values():
     assert got == [["a1", "a2", "a3"]]
 
 
+def test_await_collect_on_present_event_collects_the_whole_instant():
+    s = Scheduler()
+    e = s.new_event()
+    got = []
+
+    def early():
+        s.generate(e, "a")
+        yield COOPERATE
+        s.generate(e, "next")
+
+    def collector():  # e is already present when it yields
+        got.append(((yield AwaitCollect(e)), s.clock))
+
+    def late():
+        s.generate(e, "b")
+        yield COOPERATE
+
+    for gen in (early(), collector(), late()):
+        s.spawn(gen)
+    drive(s, 3)
+    assert got == [(["a", "b"], 1)]
+
+
+def test_await_and_await_collect_share_one_event():
+    s = Scheduler()
+    e = s.new_event()
+    log = []
+
+    def collector():
+        values = yield AwaitCollect(e)
+        log.append(("collect", s.clock, values))
+
+    def awaiter():
+        yield Await(e)
+        log.append(("await", s.clock))
+        s.generate(e, 3)  # after the wake, still collected
+
+    def producer():
+        yield COOPERATE
+        s.generate(e, 1)
+        s.generate(e, 2)
+        yield COOPERATE
+
+    for gen in (collector(), awaiter(), producer()):
+        s.spawn(gen)
+    drive(s, 4)
+    assert log == [("await", 1), ("collect", 2, [1, 2, 3])]
+    assert e.waiters == []
+
+
+def test_woken_behavior_runs_after_every_admitted_behavior():
+    s = Scheduler()
+    e = s.new_event()
+    order = []
+
+    def sleeper():  # bid 0: parked since instant 0
+        yield Await(e)
+        order.append("sleeper")
+
+    def waker():  # bid 1
+        yield COOPERATE
+        s.generate(e)
+        order.append("waker")
+
+    def resumed():  # bid 2: resumes at instant 1's start
+        yield COOPERATE
+        order.append("resumed")
+
+    def spawned():  # bid 3: spawned between instants 0 and 1
+        order.append("spawned")
+        yield COOPERATE
+
+    for gen in (sleeper(), waker(), resumed()):
+        s.spawn(gen)
+    s.run_instant()
+    s.spawn(spawned())
+    s.run_instant()
+    assert order == ["waker", "resumed", "spawned", "sleeper"]
+
+
 def test_collect_absent_event_yields_empty_list():
     s = Scheduler()
     e = s.new_event()
@@ -275,6 +356,17 @@ def test_generate_outside_active_phase_is_rejected():
     e = s.new_event()
     with pytest.raises(PhaseError):
         s.generate(e, 1)
+    woke = []
+
+    def collector():
+        woke.append((yield AwaitCollect(e)))
+
+    s.spawn(collector())
+    s.run_instant()  # the collector parks on e
+    with pytest.raises(PhaseError):
+        s.generate(e, 2)
+    drive(s, 2)
+    assert e.values == [] and woke == []
 
 
 def test_yielding_garbage_is_a_kernel_error():
@@ -306,8 +398,10 @@ def test_terminated_behavior_never_runs_again():
 # -- randomized semantics -------------------------------------------------------
 
 
-def _interp(sched, events, script, trace, label):
-    """Run a list of ops, recording every resumption with its instant."""
+def _interp(sched, events, script, trace, label, split=False):
+    """Run a list of ops, recording every resumption with its instant.
+
+    ``split`` runs each await_collect op as an Await then a Collect."""
     for op in script:
         tag = op[0]
         if tag == "gen":
@@ -319,6 +413,13 @@ def _interp(sched, events, script, trace, label):
         elif tag == "collect":
             values = yield Collect(events[op[1]])
             trace.append((label, "collect", op[1], tuple(values), sched.clock))
+        elif tag == "await_collect":
+            if split:
+                yield Await(events[op[1]])
+                values = yield Collect(events[op[1]])
+            else:
+                values = yield AwaitCollect(events[op[1]])
+            trace.append((label, "await_collect", op[1], tuple(values), sched.clock))
         else:
             yield COOPERATE
             trace.append((label, "coop", sched.clock))
@@ -328,17 +429,18 @@ _ops = st.one_of(
     st.tuples(st.just("gen"), st.integers(0, 2), st.integers(0, 9)),
     st.tuples(st.just("await"), st.integers(0, 2)),
     st.tuples(st.just("collect"), st.integers(0, 2)),
+    st.tuples(st.just("await_collect"), st.integers(0, 2)),
     st.tuples(st.just("coop")),
 )
 _programs = st.lists(st.lists(_ops, max_size=8), min_size=1, max_size=5)
 
 
-def _run_program(program, instants=30):
+def _run_program(program, instants=30, split=False):
     sched = Scheduler(microstep_budget=10_000)
     events = [sched.new_event() for _ in range(3)]
     trace = []
     for i, script in enumerate(program):
-        sched.spawn(_interp(sched, events, script, trace, i))
+        sched.spawn(_interp(sched, events, script, trace, i, split))
     for _ in range(instants):
         sched.run_instant()
         if sched.is_quiet():
@@ -350,6 +452,12 @@ def _run_program(program, instants=30):
 @given(_programs)
 def test_property_identical_programs_give_identical_traces(program):
     assert _run_program(program) == _run_program(program)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_programs)
+def test_property_await_collect_is_await_then_collect(program):
+    assert _run_program(program) == _run_program(program, split=True)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -4,7 +4,7 @@ import pytest
 
 from syncell import COOPERATE, DOWN, Holder, UP, World
 from syncell.scenario import fire
-from syncell.world import Activation, awake_neighbourhood, cell_reset, combine
+from syncell.world import Activation, awake_neighbourhood, cell_behavior, cell_reset
 
 
 def open_world(width=31, height=31, seed=0):
@@ -131,42 +131,51 @@ def test_brick_caller_cannot_transmit():
 # -- combine / reset -------------------------------------------------------------
 
 
-def test_combine_adds_states_modulo_base():
-    w = World(5, 5)
-    c = w.grid.cell(2, 2)
+def settle(w, x, y, activations, state=0):
+    """Run one lone cell's cycle through its combine step: the activations
+    are all generated on its trigger in instant 0."""
+    c = w.grid.cell(x, y)
+    c.basic_state = state
+    w.sched.spawn(cell_behavior(w, c))
+
+    def trigger():
+        for a in activations:
+            w.sched.generate(c.trigger, a)
+        yield COOPERATE
+
+    w.sched.spawn(trigger())
+    run_to(w, 2)
+    return c
+
+
+def settled_state(states, state=0, base=6):
+    w = World(5, 5, base=base)
     ctx = w.new_context()
-    c.basic_state = 4
-    combine(w, c, Activation(UP, 5, ctx))
-    assert c.basic_state == 3
-    combine(w, c, Activation(UP, 0, ctx))
-    assert c.basic_state == 3
-    c.basic_state = 5
-    combine(w, c, Activation(UP, 1, ctx))
-    assert c.basic_state == 0
-    w3 = World(5, 5, base=3)
-    c3 = w3.grid.cell(2, 2)
-    combine(w3, c3, Activation(UP, 2, ctx))
-    combine(w3, c3, Activation(UP, 2, ctx))
-    assert c3.basic_state == 1
+    return settle(w, 2, 2, [Activation(UP, s, ctx) for s in states], state).basic_state
+
+
+def test_combine_adds_states_modulo_base():
+    # the cell settles on (its state + 1 + the activations' states) mod base
+    assert settled_state([5], state=4) == 4
+    assert settled_state([0], state=4) == 5
+    assert settled_state([1], state=4) == 0
+    assert settled_state([2, 2], base=3) == 2
 
 
 def test_combine_adds_states_and_rebinds_context():
     w = World(9, 9)
-    c = w.grid.cell(4, 4)
     ctx1, ctx2, ctx3 = (w.new_context() for _ in range(3))
-    combine(w, c, Activation(UP, 2, ctx1))
-    combine(w, c, Activation(UP, 3, ctx2))
-    combine(w, c, Activation(UP, 4, ctx3))
-    assert c.basic_state == (2 + 3 + 4) % 6
+    c = settle(w, 4, 4, [Activation(UP, 2, ctx1), Activation(UP, 3, ctx2), Activation(UP, 4, ctx3)])
+    assert c.basic_state == (2 + 3 + 4 + 1) % 6
     assert c.kind is UP
-    assert c.ctx is ctx3  # last writer owns the cell
+    assert c.ctx is ctx3 and w.visible[c] is ctx3  # last writer owns the cell
+    assert w.ctx_collisions == 1
 
 
 def test_single_activation_onto_fresh_cell_copies_state():
     w = World(9, 9)
-    c = w.grid.cell(4, 4)
-    combine(w, c, Activation(DOWN, 5, w.new_context()))
-    assert c.basic_state == 5 and c.kind is DOWN
+    c = settle(w, 4, 4, [Activation(DOWN, 4, w.new_context())])
+    assert c.basic_state == 4 + 1 and c.kind is DOWN
 
 
 def test_cell_reset_is_idempotent_and_restores_initial_state():
@@ -239,6 +248,24 @@ def test_dead_cell_triggered_cycle_timing():
     run_to(w, 3)  # instant 2: retransmission reaches the row above
     assert got["above"] == (2, True)
     assert target not in w.visible and target.basic_state == 0  # reset closed the cycle
+
+
+def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
+    """No step in the trigger instant, one to combine, one to transmit."""
+    w = World(9, 9)
+    c = w.grid.cell(4, 6)
+    w.sched.spawn(cell_behavior(w, c))
+    w.sched.run_instant()  # the cell parks on its trigger
+
+    def igniter():  # one step, in which it fires the cell
+        fire(w, c, 3, UP, w.sched.new_event(), Holder(-1))
+        if False:
+            yield
+
+    w.sched.spawn(igniter())
+    steps = [w.sched.run_instant().steps for _ in range(4)]
+    assert steps == [1, 1, 1, 0]  # igniter; combine; transmit, reset, park; none
+    assert c.ctx.last_transmit == 3 and c not in w.visible
 
 
 @pytest.mark.parametrize("base, state", [(6, 5), (6, 0), (3, 2), (2, 1)])
