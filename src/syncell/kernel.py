@@ -132,11 +132,13 @@ class InstantReport:
 
 
 class Scheduler:
-    """Drives behaviors through instants; owns all events it hands out."""
+    """Drives behaviors through instants; owns all events it hands out.
+
+    ``clock``, the next instant to run, is read-only: ``run_instant`` advances it."""
 
     def __init__(self, microstep_budget: int = DEFAULT_MICROSTEP_BUDGET):
         self.microstep_budget = microstep_budget
-        self._clock = 0
+        self.clock = 0
         self._active = False  # in the active phase of an instant
         # (bid, gen, value) entries to run in this instant, and at the next start
         self._run: list[tuple[int, Behavior, Any]] = []
@@ -148,12 +150,6 @@ class Scheduler:
         self._next_eid = 0
         self.alive = 0
         self.terminated = 0
-        self._generated = 0
-
-    @property
-    def clock(self) -> int:
-        """Index of the next instant to run (completed instants so far)."""
-        return self._clock
 
     def new_event(self) -> Event:
         e = Event(self._next_eid)
@@ -183,7 +179,6 @@ class Scheduler:
         if not values:
             self._touched.append(event)
         values.append(value)
-        self._generated += 1
         waiters = event.waiters
         if waiters:
             if len(waiters) > 1:
@@ -194,9 +189,8 @@ class Scheduler:
 
     def run_instant(self) -> InstantReport:
         """Execute one full instant (active phase, then end-of-instant)."""
-        instant = self._clock
+        instant = self.clock
         self._active = True
-        self._generated = 0
 
         run = self._resume
         run.sort()
@@ -244,18 +238,20 @@ class Scheduler:
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
 
         # End of instant: collectors see exactly this instant's values,
-        # then every touched event buffer is reset.
+        # then every touched event buffer is counted and reset.
         self._active = False
         self._run = []
         for bid, gen, event in collectors:
             resume.append((bid, gen, list(event.values)))
         collectors.clear()
+        generated = 0
         for event in self._touched:
+            generated += len(event.values)
             event.values.clear()
         self._touched = []
 
-        self._clock += 1
-        return InstantReport(instant, self.alive, self.terminated, self._generated, steps)
+        self.clock = instant + 1
+        return InstantReport(instant, self.alive, self.terminated, generated, steps)
 
     def is_quiet(self) -> bool:
         """True when nothing can ever run again without external input.

@@ -26,20 +26,35 @@ GOLDEN = {
 }
 
 
+def particle_lines(world) -> str:
+    return "".join(f"{p.fx!r},{p.fy!r},{p.vx!r},{p.vy!r},{p.state}\n" for p in world.particles)
+
+
 def run_digest(name: str, seed: int) -> str:
     spec = load_scenario(SCENARIOS / name)
     world = build_world(replace(spec, seed=seed))
     report = run_world(world, spec.run_length)
-    particles = "".join(
-        f"{p.fx!r},{p.fy!r},{p.vx!r},{p.vy!r},{p.state}\n" for p in world.particles
-    )
-    blob = "\n".join([report.text(), report.stats_csv(), particles])
+    blob = "\n".join([report.text(), report.stats_csv(), particle_lines(world)])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_shipped_scenario_output_is_pinned(name, seed):
     assert run_digest(name, seed) == GOLDEN[(name, seed)]
+
+
+# Every particle's (fx, fy, vx, vy, state) after 2,000 young200 instants. By
+# then the oldest of the 243 particles has gone up to the border and back down
+# to the slit wall about five times; the per-instant pins stop at 400 instants.
+YOUNG200_PARTICLES_2000 = "845cc33b40e1ae4549ddb3968be7d79439e2f4194a2540401f6f0decf8f8e3f9"
+
+
+def test_young200_particles_after_2000_instants_are_pinned():
+    world = build_world(load_scenario(SCENARIOS / "young200.scn"))
+    assert run_world(world, 2000).instants == 2000
+    assert len(world.particles) == 243
+    digest = hashlib.sha256(particle_lines(world).encode()).hexdigest()
+    assert digest == YOUNG200_PARTICLES_2000
 
 
 # -- per-instant state digests --------------------------------------------------

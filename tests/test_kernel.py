@@ -322,6 +322,32 @@ def test_empty_scheduler_instant_report():
     assert s.clock == 1
 
 
+def test_instant_report_counts_every_generated_value():
+    s = Scheduler()
+    a, b, c, d = (s.new_event() for _ in range(4))
+    got = []
+
+    def collector():  # reads a at the end of the instant it is generated in
+        got.append((yield Collect(a)))
+        got.append((yield AwaitCollect(c)))
+
+    def relay():  # generates d in the instant it is woken by c
+        yield Await(c)
+        s.generate(d, "d")
+
+    def emitter():
+        s.generate(a, 1)
+        s.generate(a, 2)  # a second value on the same event
+        s.generate(b, "b")  # nobody waits on b
+        yield COOPERATE
+        s.generate(c, "c")
+
+    for behavior in (collector(), relay(), emitter()):
+        s.spawn(behavior)
+    assert [r.generated for r in drive(s, 3)] == [3, 2, 0]
+    assert got == [[1, 2], ["c"]]
+
+
 def test_cooperate_loop_runs_one_step_per_instant_forever():
     s = Scheduler()
     ticks = []

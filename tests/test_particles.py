@@ -42,6 +42,12 @@ def test_speed_components_above_one_are_rejected():
         RealParticle(5.0, 5.0, 0.0, -1.5, 0)
 
 
+@pytest.mark.parametrize("vx,vy", [(float("nan"), 0.0), (0.0, float("nan"))])
+def test_nan_speed_components_are_rejected(vx, vy):
+    with pytest.raises(ValueError, match="bounded by 1 cell/instant"):
+        RealParticle(1.5, 1.5, vx, vy, 0)
+
+
 def test_bounce_flips_the_offending_component():
     step = stepper_for(World(9, 9))
     p = RealParticle(4.5, 1.5, 0.0, -1.0, 0)
@@ -64,6 +70,27 @@ def test_interior_wall_reflects_too():
     p = RealParticle(6.5, 7.5, 1.0, 0.0, 0)
     stepper_for(w)(p)
     assert p.vx == -1.0 and p.fx == 6.5
+
+
+# Steps that leave the 9x9 grid. A landing in (-1, 0) is the one place where
+# int() (column or row 0, the border ring) and math.floor (-1, off-grid)
+# disagree; both are wall.
+OFF_GRID_STEPS = {
+    "left, in (-1, 0)": (0.5, 4.5, -0.7, 0.0),
+    "left, near -1": (0.05, 4.5, -1.0, 0.0),
+    "right, past width": (8.5, 4.5, 0.7, 0.0),
+    "top, in (-1, 0)": (4.5, 0.5, 0.0, -0.7),
+    "top, near -1": (4.5, 0.05, 0.0, -1.0),
+    "bottom, past height": (4.5, 8.5, 0.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("start", OFF_GRID_STEPS.values(), ids=OFF_GRID_STEPS)
+def test_off_grid_is_wall_on_all_four_sides(start):
+    fx, fy, vx, vy = start
+    p = RealParticle(fx, fy, vx, vy, 0)
+    stepper_for(World(9, 9))(p)
+    assert (p.fx, p.fy, p.vx, p.vy) == (fx, fy, -vx, -vy)
 
 
 def test_long_run_containment_with_conserved_speed():
