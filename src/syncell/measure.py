@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 
-from .kernel import COOPERATE, Collect
+from .kernel import COOPERATE, Await, Collect
 from .particles import RealParticle
 from .stats import DetectionRecord, ReductionRecord
-from .world import BRICK, Cell, World, direction_dy
+from .world import Cell, World, direction_dy
 
 # instants from the measurement broadcast to the member cells' reset
 REDUCE_WINDOW = 5
@@ -30,35 +30,33 @@ def choose(ids: list, rng: random.Random):
     return ids[rng.randrange(len(ids))]
 
 
-def detector_behavior(world: World, d, index: int):
-    """Scan a ``DetectorSpec``'s zone every instant; fire the measurement of
-    each superposition of the accepted direction passing through, at most
-    once per superposition however many of its cells cross the zone.
+def detector_behavior(world: World, zones: list):
+    """Every detector of the world, woken in each instant with a contact.
 
-    With ``world.measure_enabled`` off the detector only records contacts
+    ``zones[i]`` holds the non-wall cells of ``world.detectors[i]``'s zone. In
+    index order, each detector walks the instant's ``world.contact`` values
+    (spawn-id, so row-major, order) and fires the measurement of each
+    superposition of its accepted direction, at most once per superposition.
+    With ``world.measure_enabled`` off the detectors only record contacts
     (used to read off the undisturbed superposition a detector would see).
     """
-    zone_cells = [
-        c
-        for y in range(d.y0, d.y1 + 1)
-        for x in range(d.x0, d.x1 + 1)
-        if (c := world.grid.cell(x, y)).kind is not BRICK
-    ]
-    seen = set()
+    seen = [set() for _ in zones]
     sched = world.sched
+    wake = Await(world.contact)
     while True:
-        for c in zone_cells:
-            if c in world.visible and c.kind is d.kind:
+        yield wake
+        for index, zone in enumerate(zones):
+            kind = world.detectors[index].kind
+            for c in world.contact.values:
                 ctx = c.ctx
-                if ctx.serial in seen:
+                if c not in zone or c.kind is not kind or ctx.serial in seen[index]:
                     continue
-                seen.add(ctx.serial)
+                seen[index].add(ctx.serial)
                 counts = world.superposition_census(ctx)
                 rec = DetectionRecord(
                     instant=sched.clock,
                     detector=index,
                     ctx_serial=ctx.serial,
-                    measure_eid=ctx.measure.eid,
                     size=sum(counts),
                     state_counts=counts,
                     measured=world.measure_enabled,
@@ -67,7 +65,7 @@ def detector_behavior(world: World, d, index: int):
                 world.stats.record_contact(rec)
                 if world.measure_enabled:
                     sched.generate(ctx.measure, ())
-        yield COOPERATE
+        yield COOPERATE  # an Await now would find this instant's contacts again
 
 
 def set_chosen_state(c: Cell) -> None:

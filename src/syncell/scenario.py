@@ -45,8 +45,8 @@ A scenario is a small line-based text file:
 
 Sections may repeat and appear in any order; keys are one per line; repeated
 [grid] and [run] sections merge. ``build_world`` spawns one behavior per
-non-wall cell and per detector, and one ``emitter`` per source; the emitters
-fire their first shots in the first instant run.
+non-wall cell, one ``emitter`` per source and one for all detectors; the
+emitters fire their first shots in the first instant run.
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ def _check_inside(spec: ScenarioSpec, x: int, y: int, what: str, line: int) -> N
 @collector_paused()
 def build_world(spec: ScenarioSpec) -> World:
     """Construct the world: geometry, one behavior per cell, one emitter per
-    source, one behavior per detector. The first shots fire in instant 0.
-    The cyclic collector is paused while it builds."""
+    source, one behavior for all detectors. The first shots fire in instant
+    0. The cyclic collector is paused while it builds."""
     if not (2 <= spec.base <= 6):
         raise ScenarioError(f"base must be within 2..6, got {spec.base}")
     if spec.width < 3 or spec.height < 3:
@@ -402,6 +402,7 @@ def build_world(spec: ScenarioSpec) -> World:
         world.sources.append(s)
         world.sched.spawn(emitter(world, s))
 
+    zones = []
     for i, d in enumerate(spec.detectors):
         for x, y in ((d.x0, d.y0), (d.x1, d.y1)):
             if not grid.in_range(x, y):
@@ -410,17 +411,21 @@ def build_world(spec: ScenarioSpec) -> World:
                 )
         if d.x1 < d.x0 or d.y1 < d.y0:
             raise ScenarioError(f"detector #{i} (line {d.line}): empty zone")
-        zone_has_cell = any(
-            grid.cell(x, y).kind is not BRICK
+        zone = frozenset(
+            c
             for y in range(d.y0, d.y1 + 1)
             for x in range(d.x0, d.x1 + 1)
+            if (c := grid.cell(x, y)).kind is not BRICK
         )
-        if not zone_has_cell:
+        if not zone:
             raise ScenarioError(
                 f"detector #{i} (line {d.line}): zone covers only wall cells"
             )
         world.detectors.append(d)
-        world.sched.spawn(detector_behavior(world, d, i))
+        zones.append(zone)
+    world.zone_cells = frozenset().union(*zones)
+    if zones:
+        world.sched.spawn(detector_behavior(world, zones))
 
     return world
 
@@ -481,7 +486,7 @@ def expected_distribution(world: World, detector_index: int, instants: int):
     Runs the world with measurement disabled until the detector's first
     contact, then reads the contacted superposition's census. The world must
     be freshly built. Raises DetectorNotReachedError if the detector does not
-    exist (before running anything) or nothing arrives within ``instants``.
+    exist (before running anything) or the run stops (quiet or budget) first.
     """
     if detector_index not in range(len(world.detectors)):
         raise DetectorNotReachedError(

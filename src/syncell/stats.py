@@ -20,7 +20,6 @@ class DetectionRecord:
     instant: int
     detector: int
     ctx_serial: int
-    measure_eid: int
     size: int
     state_counts: tuple[int, ...]
     measured: bool

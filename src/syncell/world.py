@@ -216,6 +216,8 @@ class World:
         self.particle_starts: list[int] = []  # first instant each particle moves
         self.sources: list = []
         self.detectors: list = []
+        self.zone_cells: frozenset = frozenset()  # each generates on contact when visible
+        self.contact = self.sched.new_event()
         self.stats = RunStats()
         self.measure_enabled = True
         self.ctx_collisions = 0
@@ -239,14 +241,11 @@ class World:
         self._ctx_serial += 1
         return ctx
 
-    def spawn_cell_behaviors(self) -> int:
+    def spawn_cell_behaviors(self) -> None:
         """One behavior per non-BRICK cell, in row-major order."""
-        n = 0
         for c in self.grid.cells():
             if c.kind is not BRICK:
                 self.sched.spawn(cell_behavior(self, c))
-                n += 1
-        return n
 
     def add_particle(self, p) -> None:
         """Register a particle, to move from the next instant to start on; the
@@ -282,9 +281,8 @@ class World:
     def run(self, instants: int, on_instant=None) -> int:
         """Run up to ``instants`` instants; stops early once nothing can run.
 
-        A detector cooperates every instant and a live particle is stepped
-        every instant, so a world with either never stops early. Returns the
-        number of instants actually executed.
+        A live particle is stepped every instant, so a world with one never
+        stops early. Returns the number of instants actually executed.
 
         The cyclic garbage collector is paused for the run
         (``collector_paused``). Cycles made by ``on_instant`` are freed after
@@ -354,6 +352,8 @@ def cell_behavior(world: World, c: Cell):
         c.basic_state = state % world.base
         c.kind, _, c.ctx = activations[-1]
         world.visible[c] = c.ctx
+        if c in world.zone_cells:
+            world.sched.generate(world.contact, c)
         measured = yield Collect(c.ctx.measure)
         if measured:
             yield from reduce(world, c)

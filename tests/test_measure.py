@@ -3,20 +3,23 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from syncell import BRICK, COOPERATE, DOWN, Holder, UP, World, load_scenario, measure
 from syncell.measure import REDUCE_WINDOW, choose, set_chosen_state
 from syncell.scenario import (
+    DetectorNotReachedError,
     DetectorSpec,
     ScenarioSpec,
     SlitSpec,
     SourceSpec,
     WallSpec,
     build_world,
+    expected_distribution,
     run_world,
 )
 
@@ -169,6 +172,25 @@ def test_probe_mode_records_contacts_without_measuring():
     assert w.particles == []
 
 
+def test_probe_run_goes_quiet_once_the_emitter_is_done():
+    # no particle is born while measurement is off, and the detector waits on
+    # contacts: nothing keeps the world running after the last wavefront
+    w = build_world(load_scenario(SCENARIOS / "single.scn"))
+    w.measure_enabled = False
+    assert w.run(2000) == 229
+    assert w.sched.is_quiet()
+    assert [rec.instant for rec in w.stats.detections] == [39, 79, 119, 159, 199]
+
+
+def test_probe_of_a_silent_source_stops_at_once():
+    spec = load_scenario(SCENARIOS / "single.scn")
+    silent = replace(spec, sources=[replace(spec.sources[0], shots=0)])
+    w = build_world(silent)
+    with pytest.raises(DetectorNotReachedError):
+        expected_distribution(w, 0, 10_000)
+    assert w.sched.clock == 1
+
+
 def test_empty_zone_never_detects():
     spec = ScenarioSpec(
         width=31,
@@ -294,6 +316,13 @@ def _measured_worlds(draw):
     )
 
 
+def _horizon(spec):
+    """Instants by which every collapse of a generated world has ended: the
+    last shot crosses the grid in ``2 * height`` instants, then collapses."""
+    last_shot = max((s.shots - 1) * s.period for s in spec.sources)
+    return last_shot + 2 * spec.height + REDUCE_WINDOW + 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(_measured_worlds())
 def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec):
@@ -305,9 +334,7 @@ def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec)
             x, y = math.floor(p.fx), math.floor(p.fy)
             assert grid.in_range(x, y) and grid.cell(x, y).kind is not BRICK, p
 
-    # the last shot crosses the grid in 2 * height instants, then collapses
-    last_shot = max((s.shots - 1) * s.period for s in spec.sources)
-    w.run(last_shot + 2 * spec.height + REDUCE_WINDOW + 2, on_instant=check_particles)
+    w.run(_horizon(spec), on_instant=check_particles)
     reduced = {red.ctx_serial: red.instant for red in w.stats.reductions}
     for rec in w.stats.detections:
         assert rec.measured
@@ -318,3 +345,107 @@ def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec)
         assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
         assert ctx.last_transmit < rec.instant, "a member transmitted after measurement"
         assert reduced[rec.ctx_serial] == rec.instant + REDUCE_WINDOW
+
+
+def polling_detections(world):
+    """Spawn the reference detector and return the records it fills.
+
+    It polls as the detectors once did: every instant, after every cell has
+    resumed, it scans each zone row by row in detector index order and
+    records ``(instant, detector, ctx serial, census)`` for each
+    superposition of the accepted direction that detector has not seen. It
+    measures nothing, so it only watches the world's own detectors.
+    """
+    records = []
+
+    def poll():
+        seen = [set() for _ in world.detectors]
+        while True:
+            for index, d in enumerate(world.detectors):
+                for y in range(d.y0, d.y1 + 1):
+                    for x in range(d.x0, d.x1 + 1):
+                        c = world.grid.cell(x, y)
+                        ctx = world.visible.get(c)
+                        if ctx is None or c.kind is not d.kind or ctx.serial in seen[index]:
+                            continue
+                        seen[index].add(ctx.serial)
+                        census = world.superposition_census(ctx)
+                        records.append((world.sched.clock, index, ctx.serial, census))
+            yield COOPERATE
+
+    world.sched.spawn(poll())
+    return records
+
+
+# Two superpositions cross two detectors in the same instant, so both orders
+# within an instant (detectors, then superpositions row by row) are exercised.
+TWO_BY_TWO = ScenarioSpec(
+    width=31,
+    height=31,
+    sources=[SourceSpec(x=8, y=25, period=40), SourceSpec(x=22, y=25, period=40)],
+    detectors=[DetectorSpec(1, 15, 29, 15), DetectorSpec(5, 15, 25, 15)],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measured_worlds())
+@example(TWO_BY_TWO)
+def test_contact_driven_detectors_record_what_zone_polling_records(spec):
+    for measure_enabled in (True, False):
+        w = build_world(spec)
+        w.measure_enabled = measure_enabled
+        polled = polling_detections(w)
+        w.run(_horizon(spec))
+        recorded = [
+            (rec.instant, rec.detector, rec.ctx_serial, rec.state_counts)
+            for rec in w.stats.detections
+        ]
+        assert recorded == polled
+
+
+def test_one_detector_behavior_serves_every_detector():
+    spec = ScenarioSpec(
+        width=20,
+        height=20,
+        walls=[WallSpec(1, 9, 18, 9)],
+        slits=[SlitSpec(wall=0, x0=7, x1=8)],
+        sources=[SourceSpec(x=10, y=16)],
+        detectors=[DetectorSpec(2, 5, 17, 5), DetectorSpec(1, 3, 18, 12, kind=DOWN)],
+    )
+    w = build_world(spec)
+    cells = sum(c.kind is not BRICK for c in w.grid.cells())
+    assert w.sched.alive == cells + len(spec.sources) + 1
+    # the union of the two overlapping zones: every non-wall cell of rows 3..12
+    assert w.zone_cells == {
+        c for c in w.grid.cells() if c.kind is not BRICK and 3 <= c.y <= 12
+    }
+
+
+def evolution(spec, instants):
+    """The world after ``instants`` instants and its state after each one:
+    sorted visible ``(x, y, state, ctx serial)``, every particle, and the
+    detections ``(instant, detector, ctx serial, census)`` so far."""
+    states = []
+
+    def record(w, report):
+        visible = sorted((c.x, c.y, c.basic_state, ctx.serial) for c, ctx in w.visible.items())
+        particles = [(p.fx, p.fy, p.vx, p.vy, p.state) for p in w.particles]
+        detections = [
+            (d.instant, d.detector, d.ctx_serial, d.state_counts) for d in w.stats.detections
+        ]
+        states.append((report.instant, visible, particles, detections))
+
+    w = build_world(spec)
+    w.run(instants, on_instant=record)
+    return w, states
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measured_worlds(), st.integers(0, 2**16))
+def test_generated_evolution_is_seed_independent_up_to_the_first_reduction(spec, seed):
+    instants = _horizon(spec)
+    w, states = evolution(spec, instants)
+    assert evolution(spec, instants)[1] == states
+    # the first draw publishes its outcome in the first reduction instant
+    first = min((red.instant for red in w.stats.reductions), default=len(states))
+    assert evolution(replace(spec, seed=seed), instants)[1][:first] == states[:first]
