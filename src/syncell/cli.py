@@ -182,10 +182,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w", encoding="ascii") as fh:
                     fh.write(csv)
             sys.stdout.write(frequency_text(rows))
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except DivergenceError as exc:

@@ -30,28 +30,29 @@ def choose(ids: list, rng: random.Random):
     return ids[rng.randrange(len(ids))]
 
 
-def detector_behavior(world: World, zones: list):
+def detector_behavior(world: World):
     """Every detector of the world, woken in each instant with a contact.
 
-    ``zones[i]`` holds the non-wall cells of ``world.detectors[i]``'s zone. In
-    index order, each detector walks the instant's ``world.contact`` values
+    In index order, each detector walks the instant's ``world.contact`` values
     (spawn-id, so row-major, order) and fires the measurement of each
-    superposition of its accepted direction, at most once per superposition.
-    With ``world.measure_enabled`` off the detectors only record contacts
-    (used to read off the undisturbed superposition a detector would see).
+    superposition of its accepted direction in its rectangle (a contact is a
+    non-wall cell), at most once per superposition. With
+    ``world.measure_enabled`` off the detectors only record contacts (used to
+    read off the undisturbed superposition a detector would see).
     """
-    seen = [set() for _ in zones]
+    zones = [
+        (range(d.x0, d.x1 + 1), range(d.y0, d.y1 + 1), d.kind, set()) for d in world.detectors
+    ]
     sched = world.sched
     wake = Await(world.contact)
     while True:
         yield wake
-        for index, zone in enumerate(zones):
-            kind = world.detectors[index].kind
+        for index, (xs, ys, kind, seen) in enumerate(zones):
             for c in world.contact.values:
                 ctx = c.ctx
-                if c not in zone or c.kind is not kind or ctx.serial in seen[index]:
+                if ctx.serial in seen or c.kind is not kind or c.x not in xs or c.y not in ys:
                     continue
-                seen[index].add(ctx.serial)
+                seen.add(ctx.serial)
                 counts = world.superposition_census(ctx)
                 rec = DetectionRecord(
                     instant=sched.clock,

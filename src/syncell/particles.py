@@ -1,9 +1,9 @@
 """Real particles: the animated entities born from a collapse.
 
 One ``particle_stepper`` behavior moves every particle of a world, once per
-instant, starting the instant after the particle's birth. Its per-particle
-step fuses inertia (move by the velocity) and bouncing (reflect whichever
-velocity component would carry the particle into a wall cell). Positions are
+instant from the instant after its birth, in one ``step_particles`` call. A
+particle's step fuses inertia (move by the velocity) and bouncing (reflect
+whichever velocity component would carry it into a wall cell). Positions are
 continuous, in cell units, and particles spawn at the centre of their birth
 cell so a component never lands exactly on a cell boundary.
 """
@@ -14,7 +14,6 @@ from bisect import bisect_right
 from math import floor
 
 from .kernel import COOPERATE
-from .world import BRICK
 
 
 class RealParticle:
@@ -36,38 +35,39 @@ class RealParticle:
         )
 
 
-def step_particle(p: RealParticle, cells: list, width: int, height: int) -> None:
-    """Move by the velocity, then reflect off the wall cells run into.
+def step_particles(particles, walls: bytes, width: int, height: int) -> None:
+    """Move each particle by its velocity, then reflect off the walls run into.
 
-    ``cells`` is the grid's row-major cell list; off-grid counts as wall.
-    Each offending component is flipped and restored to its pre-step value,
-    so a legal position stays legal and speed magnitude is conserved. A
-    corner hit flips both components. Cells come from ``math.floor``, faster
-    than ``int``; they differ only on (-1, 0), off-grid for ``floor`` and the
-    BRICK border ring for ``int``, both wall, so every reflection is the same.
+    ``walls`` is the grid's ``wall_mask``; off-grid counts as wall. Each
+    offending component is flipped and restored to its pre-step value, so a
+    legal position stays legal and speed magnitude is conserved. A corner hit
+    flips both components. A step reads only its particle and the mask, so
+    order does not matter. Cells come from ``math.floor``, faster than
+    ``int``; they differ only on (-1, 0), off-grid for ``floor`` and the BRICK
+    border ring for ``int``, both wall, so every reflection is the same.
     """
-    x0, y0, vx, vy = p.fx, p.fy, p.vx, p.vy
-    fx, fy = x0 + vx, y0 + vy
-    if vx:
-        x, y = floor(fx), floor(y0)
-        if not (0 <= x < width and 0 <= y < height) or cells[y * width + x].kind is BRICK:
-            p.vx = -vx
-            fx = x0
-    if vy:
-        x, y = floor(fx), floor(fy)
-        if not (0 <= x < width and 0 <= y < height) or cells[y * width + x].kind is BRICK:
-            p.vy = -vy
-            fy = y0
-    p.fx, p.fy = fx, fy
+    for p in particles:
+        x0, y0, vx, vy = p.fx, p.fy, p.vx, p.vy
+        fx, fy = x0 + vx, y0 + vy
+        if vx:
+            x, y = floor(fx), floor(y0)
+            if not (0 <= x < width and 0 <= y < height) or walls[y * width + x]:
+                p.vx = -vx
+                fx = x0
+        if vy:
+            x, y = floor(fx), floor(fy)
+            if not (0 <= x < width and 0 <= y < height) or walls[y * width + x]:
+                p.vy = -vy
+                fy = y0
+        p.fx, p.fy = fx, fy
 
 
 def particle_stepper(world):
     """Step, once per instant, the particles whose start instant has come:
     a prefix of ``world.particles``, as ``world.particle_starts`` never falls."""
     grid = world.grid
-    cells, width, height = list(grid.cells()), grid.width, grid.height
+    walls, width, height = grid.wall_mask(), grid.width, grid.height
     sched, particles, starts = world.sched, world.particles, world.particle_starts
     while True:
-        for p in particles[: bisect_right(starts, sched.clock)]:
-            step_particle(p, cells, width, height)
+        step_particles(particles[: bisect_right(starts, sched.clock)], walls, width, height)
         yield COOPERATE

@@ -9,7 +9,7 @@ trace picture of an emission.
 
 from __future__ import annotations
 
-from .world import BRICK, World
+from .world import World
 
 # palette indices
 BG = 0
@@ -51,10 +51,7 @@ class FrameBuffer:
 
     def _paint_static(self, world: World) -> bytes:
         width = self.width
-        static = bytearray(width * self.height)
-        for c in world.grid.cells():
-            if c.kind is BRICK:
-                static[c.y * width + c.x] = WALL
+        static = bytearray(world.grid.wall_mask())  # its BRICK byte 1 is WALL
         for d in world.detectors:
             for y in range(d.y0, d.y1 + 1):
                 for x in range(d.x0, d.x1 + 1):

@@ -319,6 +319,12 @@ def _check_inside(spec: ScenarioSpec, x: int, y: int, what: str, line: int) -> N
         )
 
 
+def _open_cells(grid, d: DetectorSpec):
+    """The non-wall cells of a detector's rectangle, row by row."""
+    rows, columns = range(d.y0, d.y1 + 1), range(d.x0, d.x1 + 1)
+    return (c for y in rows for x in columns if (c := grid.cell(x, y)).kind is not BRICK)
+
+
 @collector_paused()
 def build_world(spec: ScenarioSpec) -> World:
     """Construct the world: geometry, one behavior per cell, one emitter per
@@ -402,7 +408,6 @@ def build_world(spec: ScenarioSpec) -> World:
         world.sources.append(s)
         world.sched.spawn(emitter(world, s))
 
-    zones = []
     for i, d in enumerate(spec.detectors):
         for x, y in ((d.x0, d.y0), (d.x1, d.y1)):
             if not grid.in_range(x, y):
@@ -411,21 +416,14 @@ def build_world(spec: ScenarioSpec) -> World:
                 )
         if d.x1 < d.x0 or d.y1 < d.y0:
             raise ScenarioError(f"detector #{i} (line {d.line}): empty zone")
-        zone = frozenset(
-            c
-            for y in range(d.y0, d.y1 + 1)
-            for x in range(d.x0, d.x1 + 1)
-            if (c := grid.cell(x, y)).kind is not BRICK
-        )
-        if not zone:
+        if not any(_open_cells(grid, d)):
             raise ScenarioError(
                 f"detector #{i} (line {d.line}): zone covers only wall cells"
             )
         world.detectors.append(d)
-        zones.append(zone)
-    world.zone_cells = frozenset().union(*zones)
-    if zones:
-        world.sched.spawn(detector_behavior(world, zones))
+        world.zone_cells.update(_open_cells(grid, d))
+    if world.detectors:
+        world.sched.spawn(detector_behavior(world))
 
     return world
 
@@ -501,10 +499,12 @@ def expected_distribution(world: World, detector_index: int, instants: int):
                 raise _Contact(rec)
 
     try:
-        world.run(instants, on_instant=stop_at_contact)
+        executed = world.run(instants, on_instant=stop_at_contact)
     except _Contact as contact:
         return state_fractions(contact.args[0].state_counts)
-    raise DetectorNotReachedError(
-        f"detector {detector_index} saw no superposition within {instants} instants"
-    )
+    if world.sched.is_quiet():
+        stop = f": the world went quiet after {executed} of {instants} instants"
+    else:
+        stop = f" within {instants} instants"
+    raise DetectorNotReachedError(f"detector {detector_index} saw no superposition{stop}")
 

@@ -155,7 +155,8 @@ class Cell:
 
 
 class Grid:
-    """Dense cell array with a BRICK border ring."""
+    """Dense cell array with a BRICK border ring. Only ``build_world`` sets or
+    carves walls, before any instant runs, so a ``wall_mask`` never goes stale."""
 
     def __init__(self, width: int, height: int, sched: Scheduler):
         if width < 3 or height < 3:
@@ -190,6 +191,10 @@ class Grid:
     def cells(self):
         return iter(self._cells)
 
+    def wall_mask(self) -> bytes:
+        """One byte per cell in row-major order: 1 for BRICK, 0 otherwise."""
+        return bytes(c.kind is BRICK for c in self._cells)
+
     def cell_in_direction(self, x: int, y: int, kind: CellKind) -> Cell:
         return self.cell(x, y + _DY[kind])
 
@@ -216,7 +221,7 @@ class World:
         self.particle_starts: list[int] = []  # first instant each particle moves
         self.sources: list = []
         self.detectors: list = []
-        self.zone_cells: frozenset = frozenset()  # each generates on contact when visible
+        self.zone_cells: set[Cell] = set()  # each generates on contact when visible
         self.contact = self.sched.new_event()
         self.stats = RunStats()
         self.measure_enabled = True

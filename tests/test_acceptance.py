@@ -18,7 +18,7 @@ from syncell import COOPERATE, FrameBuffer, Holder, UP, World
 from syncell.cli import main
 from syncell.kernel import Await, Collect, Scheduler
 from syncell.measure import REDUCE_WINDOW
-from syncell.particles import RealParticle, step_particle
+from syncell.particles import RealParticle, step_particles
 from syncell.scenario import (
     SourceSpec,
     build_world,
@@ -388,10 +388,10 @@ def test_criterion_7_youngs_properties():
 def test_criterion_8_particle_containment():
     t0 = time.monotonic()
     w = World(23, 17)
-    cells = list(w.grid.cells())
+    walls = w.grid.wall_mask()
     p = RealParticle(5.5, 8.5, 1.0, -1.0, 3)
     for _ in range(10_000):
-        step_particle(p, cells, w.grid.width, w.grid.height)
+        step_particles([p], walls, w.grid.width, w.grid.height)
         assert w.grid.cell(int(p.fx), int(p.fy)).kind is not BRICK
         assert 1.0 <= p.fx < 22.0 and 1.0 <= p.fy < 16.0
         assert (abs(p.vx), abs(p.vy)) == (1.0, 1.0), "speed magnitude must be conserved"

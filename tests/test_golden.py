@@ -57,6 +57,20 @@ def test_young200_particles_after_2000_instants_are_pinned():
     assert digest == YOUNG200_PARTICLES_2000
 
 
+# Every particle's (fx, fy, vx, vy, state) at the end of the full 8,200-instant
+# young200 run, when all 1,000 particles are live.
+YOUNG200_PARTICLES_FULL = "e2940b2fe8d94110e9c011057d6143f7aab42bc2287d0ff8ac68b799822cacec"
+
+
+def test_young200_particles_after_the_full_run_are_pinned():
+    spec = load_scenario(SCENARIOS / "young200.scn")
+    world = build_world(spec)
+    assert run_world(world, spec.run_length).instants == spec.run_length == 8200
+    assert len(world.particles) == 1000
+    digest = hashlib.sha256(particle_lines(world).encode()).hexdigest()
+    assert digest == YOUNG200_PARTICLES_FULL
+
+
 # -- per-instant state digests --------------------------------------------------
 
 # Two sources with different periods and states: one plain source with a

@@ -191,6 +191,25 @@ def test_probe_of_a_silent_source_stops_at_once():
     assert w.sched.clock == 1
 
 
+def test_probe_error_says_the_world_went_quiet_and_when():
+    spec = load_scenario(SCENARIOS / "single.scn")
+    silent = replace(spec, sources=[replace(spec.sources[0], shots=0)])
+    with pytest.raises(DetectorNotReachedError) as info:
+        expected_distribution(build_world(silent), 0, 10_000)
+    assert str(info.value) == (
+        "detector 0 saw no superposition: the world went quiet after 1 of 10000 instants"
+    )
+
+
+def test_probe_error_says_the_budget_ran_out():
+    # the first wavefront reaches single.scn's detector at instant 39
+    w = build_world(load_scenario(SCENARIOS / "single.scn"))
+    with pytest.raises(DetectorNotReachedError) as info:
+        expected_distribution(w, 0, 10)
+    assert str(info.value) == "detector 0 saw no superposition within 10 instants"
+    assert w.sched.clock == 10 and not w.sched.is_quiet()
+
+
 def test_empty_zone_never_detects():
     spec = ScenarioSpec(
         width=31,

@@ -1,9 +1,10 @@
 """Inertia, bouncing, containment, and the particle stepper."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from syncell import COOPERATE, DOWN, UP, World
-from syncell.particles import RealParticle, step_particle
+from syncell.particles import RealParticle, step_particles
 from syncell.scenario import (
     ScenarioSpec,
     SourceSpec,
@@ -14,9 +15,9 @@ from syncell.world import BRICK
 
 
 def stepper_for(w):
-    """step_particle bound to the world's grid, as the stepper calls it."""
-    cells = list(w.grid.cells())
-    return lambda p: step_particle(p, cells, w.grid.width, w.grid.height)
+    """step_particles over one particle, with the world's wall mask."""
+    walls = w.grid.wall_mask()
+    return lambda p: step_particles([p], walls, w.grid.width, w.grid.height)
 
 
 def test_inertia_moves_by_velocity():
@@ -102,6 +103,41 @@ def test_long_run_containment_with_conserved_speed():
         assert 1.0 <= p.fx < 22.0 and 1.0 <= p.fy < 16.0
         assert w.grid.cell(int(p.fx), int(p.fy)).kind is not BRICK
         assert (abs(p.vx), abs(p.vy)) == (1.0, 1.0)
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_SPEED = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stepping_a_list_equals_stepping_each_particle_alone(data):
+    width, height = data.draw(st.integers(3, 16)), data.draw(st.integers(3, 16))
+    w = World(width, height)
+    bricks = st.tuples(st.integers(1, width - 2), st.integers(1, height - 2))
+    for x, y in data.draw(st.lists(bricks, max_size=width * height // 4)):
+        w.grid.set_brick(x, y)
+    open_cells = [(c.x, c.y) for c in w.grid.cells() if c.kind is not BRICK]
+    assume(open_cells)
+    starts = [
+        (x + data.draw(_UNIT), y + data.draw(_UNIT), data.draw(_SPEED), data.draw(_SPEED), s)
+        for s, (x, y) in enumerate(data.draw(st.lists(st.sampled_from(open_cells), max_size=12)))
+    ]
+    steps = data.draw(st.integers(1, 40))
+    walls = w.grid.wall_mask()
+
+    together = [RealParticle(*start) for start in starts]
+    for _ in range(steps):
+        step_particles(together, walls, width, height)
+    alone = [RealParticle(*start) for start in starts]
+    for p in alone:
+        for _ in range(steps):
+            step_particles([p], walls, width, height)
+
+    def state(p):
+        return (p.fx, p.fy, p.vx, p.vy, p.state)
+
+    assert [state(p) for p in together] == [state(p) for p in alone]
 
 
 def test_trajectory_is_deterministic():

@@ -1,5 +1,6 @@
 """Scenario parsing, world construction, and emission contracts."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,25 @@ def test_a_grid_of_max_cells_passes_the_size_check(monkeypatch):
         build_world(ScenarioSpec(width=1000, height=MAX_CELLS // 1000))
 
 
+def build_peak_bytes(spec) -> int:
+    """The peak of memory traced while ``build_world`` builds ``spec``."""
+    tracemalloc.start()
+    try:
+        build_world(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detector_memory_is_bounded_by_the_grid_not_by_detectors():
+    def spec(detectors):
+        full = DetectorSpec(1, 1, 198, 198)
+        return ScenarioSpec(width=200, height=200, detectors=[full] * detectors)
+
+    one, forty = build_peak_bytes(spec(1)), build_peak_bytes(spec(40))
+    assert forty - one <= 1_000_000, (one, forty)
+
+
 _VELOCITY = st.one_of(st.none(), st.none(), st.floats(-1.2, 1.2), st.just(float("nan")))
 
 
@@ -315,10 +335,20 @@ def assert_only_walls_lack_triggers_and_all_else_is_interior(world):
             assert 1 <= c.x <= grid.width - 2 and 1 <= c.y <= grid.height - 2, c
 
 
+def assert_wall_mask_matches_cells(world):
+    """The particle stepper's wall test reads the mask, never a Cell."""
+    mask = world.grid.wall_mask()
+    cells = list(world.grid.cells())
+    assert len(mask) == len(cells) == world.grid.width * world.grid.height
+    for i, c in enumerate(cells):
+        assert mask[i] == (c.kind is BRICK), c
+
+
 @pytest.mark.parametrize("name", ["single.scn", "entangled.scn", "young200.scn"])
 def test_shipped_worlds_keep_the_direct_index_premise(name):
-    spec = parse_scenario((SCENARIOS / name).read_text())
-    assert_only_walls_lack_triggers_and_all_else_is_interior(build_world(spec))
+    world = build_world(parse_scenario((SCENARIOS / name).read_text()))
+    assert_only_walls_lack_triggers_and_all_else_is_interior(world)
+    assert_wall_mask_matches_cells(world)
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,6 +359,7 @@ def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
     except ScenarioError:
         return
     assert_only_walls_lack_triggers_and_all_else_is_interior(world)
+    assert_wall_mask_matches_cells(world)
     run_world(world, 40)
 
 
