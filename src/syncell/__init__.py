@@ -21,7 +21,6 @@ from .kernel import (
     Scheduler,
 )
 from .world import (
-    Activation,
     BRICK,
     Cell,
     CellKind,
@@ -48,7 +47,6 @@ from .render import FrameBuffer
 from .stats import RunReport, frequency_table
 
 __all__ = [
-    "Activation",
     "Await",
     "AwaitCollect",
     "BRICK",

@@ -7,7 +7,8 @@ The end-of-instant phase then snapshots the values collected on each event,
 clears all event buffers, and schedules newly spawned behaviors, after which
 the clock advances.
 
-A behavior is a generator. It suspends by yielding a command:
+A behavior is a generator. It suspends by yielding a command, a description
+the kernel only reads, so any behavior may yield one command object again:
 
     yield Await(e)     resume as soon as e is generated (immediately if it
                        already was this instant)

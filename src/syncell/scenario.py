@@ -60,7 +60,6 @@ from .measure import detector_behavior
 from .render import FrameBuffer
 from .stats import RunReport, digest_text, state_fractions
 from .world import (
-    Activation,
     BRICK,
     Cell,
     CellKind,
@@ -75,6 +74,7 @@ from .world import (
 )
 
 MAX_CELLS = 1_000_000  # the largest grid build_world allocates
+MAX_COVER = 4 * MAX_CELLS  # cells build_world visits over all walls, open slits and detectors
 
 
 class ScenarioError(Exception):
@@ -268,7 +268,7 @@ def fire(
     ctx = world.new_context(
         measure=measure, chosen_state=chosen_state, spawn_velocity=spawn_velocity
     )
-    world.sched.generate(cell.trigger, Activation(direction, state % world.base, ctx))
+    world.sched.generate(cell.trigger, (direction, state % world.base, ctx))
     return ctx
 
 
@@ -297,7 +297,7 @@ def emitter(world: World, spec: SourceSpec):
             else:
                 vy = spec.vy if direction is spec.direction else -spec.vy
             velocity = (vx, vy)
-        cell = world.grid.cell_in_direction(spec.x, spec.y, direction)
+        cell = world.grid.cell(spec.x, spec.y + direction_dy(direction))
         beams.append((cell, direction, velocity))
     sched = world.sched
     for _ in range(spec.shots):
@@ -317,6 +317,17 @@ def _check_inside(spec: ScenarioSpec, x: int, y: int, what: str, line: int) -> N
             f"{what} (line {line}): ({x},{y}) is outside the interior "
             f"1..{spec.width - 2} x 1..{spec.height - 2}"
         )
+
+
+def _rectangle(grid, what: str, r, empty: str) -> int:
+    """Check that a wall or detector rectangle is on the grid and not empty;
+    return its number of cells."""
+    for x, y in ((r.x0, r.y0), (r.x1, r.y1)):
+        if not grid.in_range(x, y):
+            raise ScenarioError(f"{what} (line {r.line}): corner ({x},{y}) is off the grid")
+    if r.x1 < r.x0 or r.y1 < r.y0:
+        raise ScenarioError(f"{what} (line {r.line}): {empty}")
+    return (r.x1 - r.x0 + 1) * (r.y1 - r.y0 + 1)
 
 
 def _open_cells(grid, d: DetectorSpec):
@@ -342,17 +353,19 @@ def build_world(spec: ScenarioSpec) -> World:
     world.scenario_digest = spec.digest
 
     grid = world.grid
+    covered = 0
+
+    def cover(what: str, line: int, cells: int) -> None:
+        nonlocal covered
+        covered += cells
+        if covered > MAX_COVER:
+            raise ScenarioError(
+                f"{what} (line {line}): walls, open slits and detectors cover "
+                f"more than {MAX_COVER:,} cells in all"
+            )
+
     for i, w in enumerate(spec.walls):
-        for x, y, name in (
-            (w.x0, w.y0, "corner (x0,y0)"),
-            (w.x1, w.y1, "corner (x1,y1)"),
-        ):
-            if not grid.in_range(x, y):
-                raise ScenarioError(
-                    f"wall #{i} (line {w.line}): {name} ({x},{y}) is off the grid"
-                )
-        if w.x1 < w.x0 or w.y1 < w.y0:
-            raise ScenarioError(f"wall #{i} (line {w.line}): empty rectangle")
+        cover(f"wall #{i}", w.line, _rectangle(grid, f"wall #{i}", w, "empty rectangle"))
         for y in range(w.y0, w.y1 + 1):
             for x in range(w.x0, w.x1 + 1):
                 grid.set_brick(x, y)
@@ -370,6 +383,7 @@ def build_world(spec: ScenarioSpec) -> World:
             )
         if not s.open:
             continue
+        cover(f"slit #{i}", s.line, (s.x1 - s.x0 + 1) * (w.y1 - w.y0 + 1))
         for y in range(w.y0, w.y1 + 1):
             for x in range(s.x0, s.x1 + 1):
                 _check_inside(spec, x, y, f"slit #{i}", s.line)
@@ -399,7 +413,7 @@ def build_world(spec: ScenarioSpec) -> World:
                     f"source #{i} (line {s.line}): {name}={v} is outside -1.0..1.0"
                 )
         for direction in _beam_directions(s):
-            target = grid.cell_in_direction(s.x, s.y, direction)
+            target = grid.cell(s.x, s.y + direction_dy(direction))
             if target.kind is BRICK:
                 raise ScenarioError(
                     f"source #{i} (line {s.line}): fired cell "
@@ -409,13 +423,7 @@ def build_world(spec: ScenarioSpec) -> World:
         world.sched.spawn(emitter(world, s))
 
     for i, d in enumerate(spec.detectors):
-        for x, y in ((d.x0, d.y0), (d.x1, d.y1)):
-            if not grid.in_range(x, y):
-                raise ScenarioError(
-                    f"detector #{i} (line {d.line}): corner ({x},{y}) is off the grid"
-                )
-        if d.x1 < d.x0 or d.y1 < d.y0:
-            raise ScenarioError(f"detector #{i} (line {d.line}): empty zone")
+        cover(f"detector #{i}", d.line, _rectangle(grid, f"detector #{i}", d, "empty zone"))
         if not any(_open_cells(grid, d)):
             raise ScenarioError(
                 f"detector #{i} (line {d.line}): zone covers only wall cells"

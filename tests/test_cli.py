@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -160,6 +161,21 @@ def test_missing_file_and_parse_error_exit_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(bad)]) == EXIT_SCENARIO
     err = capsys.readouterr().err
     assert "scenario error" in err
+
+
+def test_many_full_grid_walls_exit_2_in_bounded_time(tmp_path, capsys):
+    # 103 full 198x198 interiors cross 4 x MAX_CELLS cells: the build stops
+    # at wall #102 instead of visiting all 2,000
+    path = tmp_path / "walls.scn"
+    path.write_text(
+        "[grid]\nwidth=200\nheight=200\n" + "[wall]\nx0=1\ny0=1\nx1=198\ny1=198\n" * 2_000
+    )
+    start = time.perf_counter()
+    assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert "wall #102 (line 514): walls, open slits and detectors cover more than" in err
+    assert elapsed < 5, elapsed  # about 0.8 s on a 2-vCPU host
 
 
 def test_divergent_behavior_exits_3(tmp_path, capsys, monkeypatch):

@@ -239,6 +239,33 @@ def test_collect_absent_event_yields_empty_list():
     assert got == [[], 1]
 
 
+def test_one_collect_command_yielded_by_two_behaviors_in_several_instants():
+    # a command is a description: the cell cycle yields one Collect per
+    # measurement context from every member cell, cycle after cycle
+    s = Scheduler()
+    e = s.new_event()
+    shared = Collect(e)
+    got = {"a": [], "b": []}
+
+    def collector(name):
+        for _ in range(3):
+            got[name].append((yield shared))
+
+    def producer():
+        s.generate(e, 1)
+        s.generate(e, 2)
+        yield COOPERATE
+        yield COOPERATE  # e stays absent in instant 1
+        s.generate(e, 3)
+
+    for gen in (collector("a"), collector("b"), producer()):
+        s.spawn(gen)
+    drive(s, 4)
+    assert got["a"] == got["b"] == [[1, 2], [], [3]]
+    for mine, theirs in zip(got["a"], got["b"]):
+        assert mine is not theirs and mine is not e.values  # each its own fresh list
+
+
 def test_cooperate_advances_one_instant_each():
     s = Scheduler()
     marks = []

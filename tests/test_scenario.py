@@ -1,5 +1,6 @@
 """Scenario parsing, world construction, and emission contracts."""
 
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -282,6 +283,66 @@ def test_detector_memory_is_bounded_by_the_grid_not_by_detectors():
 
     one, forty = build_peak_bytes(spec(1)), build_peak_bytes(spec(40))
     assert forty - one <= 1_000_000, (one, forty)
+
+
+FULL_INTERIOR = {  # sections covering the 198x198 interior of a 200x200 grid
+    "wall": "[wall]\nx0=1\ny0=1\nx1=198\ny1=198\n",
+    "slit": "[slit]\nwall=0\nx0=1\nx1=198\n",
+    "detector": "[detector]\nx0=1\ny0=1\nx1=198\ny1=198\n",
+}
+
+
+def full_grid_file(kind: str, count: int) -> str:
+    """A 200x200 scenario of ``count`` full-interior sections of one kind;
+    slits cut through one full-interior wall."""
+    head = "[grid]\nwidth=200\nheight=200\n" + FULL_INTERIOR["wall"] * (kind == "slit")
+    return head + FULL_INTERIOR[kind] * count
+
+
+def section_line(text: str, kind: str, index: int) -> int:
+    """The line of the header of the index-th section of a kind."""
+    headers = [n for n, line in enumerate(text.splitlines(), 1) if line == f"[{kind}]"]
+    return headers[index]
+
+
+def test_many_full_grid_detectors_are_rejected_in_bounded_time():
+    # 103 full interiors (39,204 cells each) cross 4 x MAX_CELLS; the 1,897
+    # sections after the crossing are never visited
+    text = full_grid_file("detector", 2_000)
+    spec = parse_scenario(text)
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError) as err:
+        build_world(spec)
+    elapsed = time.perf_counter() - start
+    line = section_line(text, "detector", 102)
+    assert f"detector #102 (line {line}): " in str(err.value)
+    assert "more than 4,000,000 cells" in str(err.value)
+    assert elapsed < 5, elapsed  # about 0.8 s on a 2-vCPU host
+
+
+def test_a_rejected_build_peaks_no_higher_than_a_one_section_build(monkeypatch):
+    # a cap of 10 interiors keeps the traced run short; the path is the same
+    monkeypatch.setattr(scenario, "MAX_COVER", 10 * 198 * 198)
+    spec = parse_scenario(full_grid_file("detector", 2_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=r"detector #10 "):
+            build_world(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = build_peak_bytes(parse_scenario(full_grid_file("detector", 1)))
+    assert peak - one <= 1_000_000, (one, peak)
+
+
+def test_open_slits_count_towards_the_cover_and_closed_ones_do_not(monkeypatch):
+    # with room for 4 full interiors: the wall, then open slits 0..2
+    monkeypatch.setattr(scenario, "MAX_COVER", 4 * 198 * 198)
+    text = full_grid_file("slit", 3) + "[slit]\nwall=0\nx0=1\nx1=198\nopen=false\n"
+    build_world(parse_scenario(text))  # exactly at the limit
+    text = full_grid_file("slit", 4)
+    with pytest.raises(ScenarioError, match=rf"slit #3 \(line {section_line(text, 'slit', 3)}\)"):
+        build_world(parse_scenario(text))
 
 
 _VELOCITY = st.one_of(st.none(), st.none(), st.floats(-1.2, 1.2), st.just(float("nan")))

@@ -4,7 +4,7 @@ import pytest
 
 from syncell import COOPERATE, DOWN, Holder, UP, World
 from syncell.scenario import fire
-from syncell.world import Activation, awake_neighbourhood, cell_behavior, cell_reset
+from syncell.world import awake_neighbourhood, cell_behavior, cell_reset
 
 
 def open_world(width=31, height=31, seed=0):
@@ -69,8 +69,37 @@ def test_awake_neighbourhood_skips_bricks_and_carries_state():
 
     in_active_phase(w, act)
     assert seen["hit"] == [(3, 3), (5, 3)]
-    assert seen["values"] == [[Activation(UP, 3, c.ctx)]] * 2
+    assert seen["values"] == [[(UP, 3, c.ctx)]] * 2
     assert c.ctx.last_transmit == 0
+
+
+def test_one_transmit_hands_one_plain_tuple_to_all_three_neighbours():
+    w = World(9, 9)
+    c = prepared_cell(w, 4, 4, DOWN, state=2)
+    seen = {}
+
+    def act():
+        awake_neighbourhood(w, c)
+        seen["values"] = [list(w.grid.cell(x, 5).trigger.values) for x in (3, 4, 5)]
+
+    in_active_phase(w, act)
+    (first,), (second,), (third,) = seen["values"]
+    assert type(first) is tuple and first == (DOWN, 2, c.ctx)
+    assert second is first and third is first
+
+
+def test_fire_hands_a_plain_tuple_to_its_cell():
+    w = World(9, 9, base=3)
+    c = w.grid.cell(4, 4)
+    seen = {}
+
+    def act():
+        seen["ctx"] = fire(w, c, 5, UP, w.sched.new_event(), Holder(-1))
+        seen["values"] = list(c.trigger.values)
+
+    in_active_phase(w, act)
+    assert seen["values"] == [(UP, 5 % 3, seen["ctx"])]
+    assert type(seen["values"][0]) is tuple
 
 
 def test_two_emitters_stack_activations_on_one_trigger():
@@ -86,7 +115,7 @@ def test_two_emitters_stack_activations_on_one_trigger():
         seen["values"] = list(target.trigger.values)
 
     in_active_phase(w, act)
-    assert seen["values"] == [Activation(UP, 1, a.ctx), Activation(UP, 2, b.ctx)]
+    assert seen["values"] == [(UP, 1, a.ctx), (UP, 2, b.ctx)]
 
 
 def test_awake_neighbourhood_offsets_up_and_down():
@@ -151,7 +180,7 @@ def settle(w, x, y, activations, state=0):
 def settled_state(states, state=0, base=6):
     w = World(5, 5, base=base)
     ctx = w.new_context()
-    return settle(w, 2, 2, [Activation(UP, s, ctx) for s in states], state).basic_state
+    return settle(w, 2, 2, [(UP, s, ctx) for s in states], state).basic_state
 
 
 def test_combine_adds_states_modulo_base():
@@ -165,7 +194,7 @@ def test_combine_adds_states_modulo_base():
 def test_combine_adds_states_and_rebinds_context():
     w = World(9, 9)
     ctx1, ctx2, ctx3 = (w.new_context() for _ in range(3))
-    c = settle(w, 4, 4, [Activation(UP, 2, ctx1), Activation(UP, 3, ctx2), Activation(UP, 4, ctx3)])
+    c = settle(w, 4, 4, [(UP, 2, ctx1), (UP, 3, ctx2), (UP, 4, ctx3)])
     assert c.basic_state == (2 + 3 + 4 + 1) % 6
     assert c.kind is UP
     assert c.ctx is ctx3 and w.visible[c] is ctx3  # last writer owns the cell
@@ -174,8 +203,23 @@ def test_combine_adds_states_and_rebinds_context():
 
 def test_single_activation_onto_fresh_cell_copies_state():
     w = World(9, 9)
-    c = settle(w, 4, 4, [Activation(DOWN, 4, w.new_context())])
+    c = settle(w, 4, 4, [(DOWN, 4, w.new_context())])
     assert c.basic_state == 4 + 1 and c.kind is DOWN
+
+
+def test_a_visible_cell_yields_its_contexts_one_collect():
+    w = World(9, 9)
+    ctx = w.new_context()
+    gen = cell_behavior(w, w.grid.cell(4, 4))
+    next(gen)  # parked on its trigger
+    assert gen.send([(UP, 0, ctx)]) is ctx.collect_measure
+    assert ctx.collect_measure.event is ctx.measure
+
+
+def test_cell_behavior_frame_holds_at_most_ten_locals():
+    # every non-wall cell keeps one suspended cell_behavior frame (39,008 on
+    # young200), so each further local costs 8 B x 39,008 frames, about 0.3 MB
+    assert cell_behavior.__code__.co_nlocals <= 10
 
 
 def test_cell_reset_is_idempotent_and_restores_initial_state():
