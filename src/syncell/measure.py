@@ -61,7 +61,6 @@ def detector_behavior(world: World):
                     size=sum(counts),
                     state_counts=counts,
                     measured=world.measure_enabled,
-                    ctx=ctx,
                 )
                 world.stats.record_contact(rec)
                 if world.measure_enabled:

@@ -384,12 +384,14 @@ def build_world(spec: ScenarioSpec) -> World:
         if not s.open:
             continue
         cover(f"slit #{i}", s.line, (s.x1 - s.x0 + 1) * (w.y1 - w.y0 + 1))
+        for x, y in ((s.x0, w.y0), (s.x1, w.y0), (s.x0, w.y1)):  # first off-interior cell
+            _check_inside(spec, x, y, f"slit #{i}", s.line)
         for y in range(w.y0, w.y1 + 1):
             for x in range(s.x0, s.x1 + 1):
-                _check_inside(spec, x, y, f"slit #{i}", s.line)
                 cell = grid.cell(x, y)
-                cell.kind = None
-                cell.trigger = world.sched.new_event()
+                if cell.trigger is None:  # not carved by an earlier slit
+                    cell.kind = None
+                    cell.trigger = world.sched.new_event()
 
     world.spawn_cell_behaviors()
 

@@ -14,7 +14,8 @@ class DetectionRecord:
     contacted superposition at the contact instant (the whole superposition,
     not only the zone slice). ``chosen_state`` is filled in once the
     corresponding reduction decides; it stays None for probe-mode contacts
-    (measurement disabled) and for measurements that never resolve.
+    (measurement disabled) and for measurements that never resolve. The
+    record keeps the context's serial, never the context.
     """
 
     instant: int
@@ -24,7 +25,6 @@ class DetectionRecord:
     state_counts: tuple[int, ...]
     measured: bool
     chosen_state: int | None = None
-    ctx: object = None  # the live context, kept for collapse audits
 
 
 @dataclass

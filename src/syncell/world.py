@@ -88,10 +88,7 @@ class MeasurementContext:
     ``chosen_state`` may be shared with a twin context (entanglement);
     ``signal`` never is. ``collect_measure`` is the one ``Collect(measure)``
     that every member cell yields. The member cells are the entries of
-    ``World.visible`` registered with this context (``World.snapshot``).
-
-    ``last_transmit`` and ``last_reset`` are an audit trail for collapse
-    checks and carry no behavioral weight.
+    ``World.visible`` registered with this context; it records nothing they do.
     """
 
     __slots__ = (
@@ -102,8 +99,6 @@ class MeasurementContext:
         "chosen_state",
         "serial",
         "spawn_velocity",
-        "last_transmit",
-        "last_reset",
     )
 
     def __init__(
@@ -121,8 +116,6 @@ class MeasurementContext:
         self.chosen_state = chosen_state
         self.serial = serial
         self.spawn_velocity = spawn_velocity
-        self.last_transmit = -1
-        self.last_reset = -1
 
 
 class Cell:
@@ -258,14 +251,9 @@ class World:
 
     # -- observation helpers ------------------------------------------------
 
-    def snapshot(self, ctx: Optional[MeasurementContext] = None):
-        """Sorted (x, y, state) triples of visible cells, optionally of one
-        context only."""
-        return sorted(
-            (c.x, c.y, c.basic_state)
-            for c, registered in self.visible.items()
-            if ctx is None or registered is ctx
-        )
+    def snapshot(self):
+        """Sorted (x, y, state) triples of every visible cell."""
+        return sorted((c.x, c.y, c.basic_state) for c in self.visible)
 
     def superposition_census(self, ctx: MeasurementContext) -> tuple[int, ...]:
         counts = [0] * self.base
@@ -311,7 +299,6 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
     else:
         raise ValueError(f"cell at ({c.x},{c.y}) has no direction to transmit in")
     sched, grid = world.sched, world.grid
-    c.ctx.last_transmit = sched.clock
     a = (c.kind, c.basic_state, c.ctx)
     cells = grid._cells
     i = (c.y + dy) * grid.width + c.x
@@ -322,9 +309,7 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
 
 def cell_reset(world: World, c: Cell) -> None:
     c.basic_state = 0
-    ctx = world.visible.pop(c, None)
-    if ctx is not None:
-        ctx.last_reset = world.sched.clock
+    world.visible.pop(c, None)
 
 
 def cell_behavior(world: World, c: Cell):

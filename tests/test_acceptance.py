@@ -2,7 +2,8 @@
 
 Every test prints one PASS line on success (visible with -v -s or in the
 captured output); a failing criterion fails its test. Criteria 4 and 5 share
-one 1000-shot reference run through a module-scoped fixture.
+one 1000-shot reference run through a module-scoped fixture. Criteria 5 and 6
+check each collapse from what every instant shows (``InstantLog``).
 """
 
 import os
@@ -25,9 +26,11 @@ from syncell.scenario import (
     expected_distribution,
     fire,
     load_scenario,
-    run_world,
 )
+from syncell.stats import RunReport
 from syncell.world import BRICK
+
+from instant_log import InstantLog, assert_collapses
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -235,9 +238,11 @@ def young_reference_run():
     spec = load_scenario(SCENARIOS / "young200.scn")
     t0 = time.monotonic()
     world = build_world(spec)
-    report = run_world(world, spec.run_length)
+    log = InstantLog()
+    # run_world without frames, watched by the log
+    report = RunReport.from_world(world, world.run(spec.run_length, on_instant=log))
     elapsed = time.monotonic() - t0
-    return spec, world, report, elapsed
+    return spec, world, report, elapsed, log
 
 
 # computed once from the deterministic evolution of scenarios/young200.scn
@@ -247,7 +252,7 @@ EXPECTED_CENSUS = (12, 4, 12, 4, 4, 13)
 
 
 def test_criterion_4_frequency_law(young_reference_run):
-    spec, world, report, elapsed = young_reference_run
+    spec, world, report, elapsed, _ = young_reference_run
     expected = expected_distribution(build_world(spec), 0, 200)
     pinned = {s: n / 49 for s, n in enumerate(EXPECTED_CENSUS) if n}
     assert expected == pinned, "the undisturbed superposition drifted"
@@ -267,19 +272,12 @@ def test_criterion_4_frequency_law(young_reference_run):
 
 
 def test_criterion_5_collapse_instantaneity(young_reference_run):
-    spec, world, report, elapsed = young_reference_run
+    spec, world, report, elapsed, log = young_reference_run
     assert report.unresolved == 0
-    reductions_by_ctx = defaultdict(list)
-    for red in world.stats.reductions:
-        reductions_by_ctx[red.ctx_serial].append(red)
-
     assert len(world.stats.detections) == 1000
-    for rec in world.stats.detections:
-        ctx = rec.ctx
-        assert world.snapshot(ctx) == [], "members survived the collapse"
-        assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
-        assert ctx.last_transmit < rec.instant, "a member transmitted after measurement"
-        assert len(reductions_by_ctx[rec.ctx_serial]) == 1, "one particle per measurement"
+    # silent from the broadcast on, gone and reduced once (one particle)
+    # REDUCE_WINDOW instants later
+    assert_collapses(log, [(rec.ctx_serial, rec.instant) for rec in world.stats.detections])
     report_pass(5, "collapse instantaneity", f"window {REDUCE_WINDOW} instants, 1000 collapses")
 
 
@@ -290,16 +288,24 @@ def test_criterion_6_entanglement():
     t0 = time.monotonic()
     spec = load_scenario(SCENARIOS / "entangled.scn")
     world = build_world(spec)
-    run_world(world, spec.run_length)
+    log = InstantLog()
+    world.run(spec.run_length, on_instant=log)
 
     pairs = defaultdict(list)
     for red in world.stats.reductions:
         pairs[red.measure_eid].append(red)
     assert len(pairs) == 100
+    detected_at = {rec.ctx_serial: rec.instant for rec in world.stats.detections}
+    measured = []
     for group in pairs.values():
         assert len(group) == 2, "each measurement must collapse both beams"
         assert group[0].instant == group[1].instant
         assert group[0].state == group[1].state
+        # one twin met the detector; the broadcast measured both at that instant
+        [t] = {detected_at[red.ctx_serial] for red in group if red.ctx_serial in detected_at}
+        measured += [(red.ctx_serial, t) for red in group]
+    # both twins fall silent and go, the one no detector saw too
+    assert_collapses(log, measured)
 
     # the particles themselves carry the shared state, pairwise
     assert len(world.particles) == 200

@@ -23,6 +23,8 @@ from syncell.scenario import (
     run_world,
 )
 
+from instant_log import InstantLog, assert_collapses
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -109,15 +111,13 @@ def test_detection_fires_once_and_resolves():
 
 def test_collapse_window_and_silence_after_measurement():
     w = single_shot_world()
-    w.run(80)
+    log = InstantLog()
+    w.run(80, on_instant=log)
     assert w.stats.unresolved() == 0
     [rec] = w.stats.detections
     [red] = w.stats.reductions
     assert red.instant == rec.instant + REDUCE_WINDOW
-    ctx = rec.ctx
-    assert w.snapshot(ctx) == []
-    assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
-    assert ctx.last_transmit < rec.instant  # silence from the broadcast on
+    assert_collapses(log, [(rec.ctx_serial, rec.instant)])
 
 
 def test_exactly_one_particle_per_measured_superposition():
@@ -347,23 +347,22 @@ def _horizon(spec):
 def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec):
     w = build_world(spec)
     grid = w.grid
+    log = InstantLog()
 
-    def check_particles(world, report):
+    def check_instant(world, report):
+        log(world, report)
         for p in world.particles:
             x, y = math.floor(p.fx), math.floor(p.fy)
             assert grid.in_range(x, y) and grid.cell(x, y).kind is not BRICK, p
 
-    w.run(_horizon(spec), on_instant=check_particles)
-    reduced = {red.ctx_serial: red.instant for red in w.stats.reductions}
-    for rec in w.stats.detections:
-        assert rec.measured
-        if w.sched.clock <= rec.instant + REDUCE_WINDOW:
-            continue
-        ctx = rec.ctx
-        assert w.snapshot(ctx) == [], "members survived the collapse"
-        assert ctx.last_reset <= rec.instant + REDUCE_WINDOW
-        assert ctx.last_transmit < rec.instant, "a member transmitted after measurement"
-        assert reduced[rec.ctx_serial] == rec.instant + REDUCE_WINDOW
+    w.run(_horizon(spec), on_instant=check_instant)
+    assert all(rec.measured for rec in w.stats.detections)
+    ended = [
+        (rec.ctx_serial, rec.instant)
+        for rec in w.stats.detections
+        if rec.instant + REDUCE_WINDOW < w.sched.clock
+    ]
+    assert_collapses(log, ended)
 
 
 def polling_detections(world):

@@ -5,7 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syncell import BRICK, COOPERATE, DOWN, Holder, UP, World
 from syncell import scenario
@@ -343,6 +343,65 @@ def test_open_slits_count_towards_the_cover_and_closed_ones_do_not(monkeypatch):
     text = full_grid_file("slit", 4)
     with pytest.raises(ScenarioError, match=rf"slit #3 \(line {section_line(text, 'slit', 3)}\)"):
         build_world(parse_scenario(text))
+
+
+def test_open_slits_build_at_a_walls_cost():
+    # both files cover the same 102 full interiors, so a carved cell should
+    # cost about what a bricked one does
+    slits = parse_scenario(full_grid_file("slit", 101))
+    walls = parse_scenario(full_grid_file("wall", 102))
+    best = {"slits": float("inf"), "walls": float("inf")}
+    for _ in range(2):
+        for name, spec in (("slits", slits), ("walls", walls)):
+            start = time.perf_counter()
+            build_world(spec)
+            best[name] = min(best[name], time.perf_counter() - start)
+    assert best["slits"] <= 2 * best["walls"], best  # about 1.2x on a 2-vCPU host
+
+
+def test_overlapping_open_slits_carve_each_cell_once():
+    def events_after_build(slits):
+        spec = ScenarioSpec(width=12, height=12, walls=[WallSpec(1, 5, 10, 6)], slits=slits)
+        return build_world(spec).sched.new_event().eid
+
+    overlapping = [SlitSpec(0, 2, 6), SlitSpec(0, 4, 8), SlitSpec(0, 3, 7)]
+    assert events_after_build(overlapping) == events_after_build([SlitSpec(0, 2, 8)])
+
+
+def first_slit_cell_off_the_interior(spec):
+    """The cell a slit check that walks every cell row by row names first."""
+    s = spec.slits[0]
+    w = spec.walls[s.wall]
+    for y in range(w.y0, w.y1 + 1):
+        for x in range(s.x0, s.x1 + 1):
+            if not (1 <= x <= spec.width - 2 and 1 <= y <= spec.height - 2):
+                return x, y
+    return None
+
+
+@st.composite
+def _slits_near_the_border(draw):
+    """One wall anywhere on a small grid, border ring included, and one open
+    slit inside its columns."""
+    width, height = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    x0, x1 = sorted(draw(st.integers(0, width - 1)) for _ in range(2))
+    y0, y1 = sorted(draw(st.integers(0, height - 1)) for _ in range(2))
+    s0, s1 = sorted(draw(st.integers(x0, x1)) for _ in range(2))
+    walls, slits = [WallSpec(x0, y0, x1, y1)], [SlitSpec(0, s0, s1)]
+    return ScenarioSpec(width, height, walls=walls, slits=slits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slits_near_the_border())
+@example(ScenarioSpec(9, 9, walls=[WallSpec(1, 3, 8, 8)], slits=[SlitSpec(0, 2, 8)]))
+@example(ScenarioSpec(9, 9, walls=[WallSpec(1, 3, 7, 8)], slits=[SlitSpec(0, 2, 7)]))
+def test_a_slit_off_the_interior_names_its_first_cell_in_row_order(spec):
+    cell = first_slit_cell_off_the_interior(spec)
+    if cell is None:
+        assert_only_walls_lack_triggers_and_all_else_is_interior(build_world(spec))
+        return
+    with pytest.raises(ScenarioError, match=rf"slit #0 \(line 0\): \({cell[0]},{cell[1]}\) is"):
+        build_world(spec)
 
 
 _VELOCITY = st.one_of(st.none(), st.none(), st.floats(-1.2, 1.2), st.just(float("nan")))

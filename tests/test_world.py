@@ -3,6 +3,7 @@
 import pytest
 
 from syncell import COOPERATE, DOWN, Holder, UP, World
+from syncell.kernel import Await
 from syncell.scenario import fire
 from syncell.world import awake_neighbourhood, cell_behavior, cell_reset
 
@@ -70,7 +71,6 @@ def test_awake_neighbourhood_skips_bricks_and_carries_state():
     in_active_phase(w, act)
     assert seen["hit"] == [(3, 3), (5, 3)]
     assert seen["values"] == [[(UP, 3, c.ctx)]] * 2
-    assert c.ctx.last_transmit == 0
 
 
 def test_one_transmit_hands_one_plain_tuple_to_all_three_neighbours():
@@ -228,7 +228,6 @@ def test_cell_reset_is_idempotent_and_restores_initial_state():
     w.visible[c] = c.ctx
     cell_reset(w, c)
     assert c.basic_state == 0 and c not in w.visible
-    assert c.ctx.last_reset == w.sched.clock
     cell_reset(w, c)
     assert c.basic_state == 0 and c not in w.visible
 
@@ -299,7 +298,14 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
     w = World(9, 9)
     c = w.grid.cell(4, 6)
     w.sched.spawn(cell_behavior(w, c))
-    w.sched.run_instant()  # the cell parks on its trigger
+    heard = []
+
+    def trigger_spy():  # wakes once, when the cell ahead is triggered
+        yield Await(w.grid.cell(4, 5).trigger)
+        heard.append(w.sched.clock)
+
+    w.sched.spawn(trigger_spy())
+    w.sched.run_instant()  # the cell and the spy park on their triggers
 
     def igniter():  # one step, in which it fires the cell
         fire(w, c, 3, UP, w.sched.new_event(), Holder(-1))
@@ -308,8 +314,9 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
 
     w.sched.spawn(igniter())
     steps = [w.sched.run_instant().steps for _ in range(4)]
-    assert steps == [1, 1, 1, 0]  # igniter; combine; transmit, reset, park; none
-    assert c.ctx.last_transmit == 3 and c not in w.visible
+    # igniter; combine; transmit, reset, park (and the spy's one step); none
+    assert steps == [1, 1, 2, 0]
+    assert heard == [3] and c not in w.visible
 
 
 @pytest.mark.parametrize("base, state", [(6, 5), (6, 0), (3, 2), (2, 1)])
