@@ -24,21 +24,21 @@ the kernel only reads, so any behavior may yield one command object again:
 and it acts without suspending by calling ``Scheduler.generate(e, value)``
 (broadcast a value on an event, waking every awaiter this same instant) or
 ``Scheduler.spawn(gen)`` (the new behavior takes its first step at the start
-of the next instant).
+of the next instant, or under an id from ``Scheduler.reserve`` in this one).
 
 Dispatch is deterministic: behaviors that become runnable together are
 ordered by their spawn id, so two runs of the same program produce identical
 event traces. An instant runs one list of ``(bid, gen, value)`` entries: the
-resumptions due at its start, sorted by the unique spawn id, then the
-behaviors spawned since the last instant started, in spawn order (spawn ids
-only grow), then the awaiters woken during the instant, in the order of
-their wake-ups.
+resumptions and reserved-id spawns due at its start, sorted by the unique
+spawn id, then the other behaviors spawned since the last instant started,
+in spawn order, then the awaiters woken and the reserved-id behaviors
+spawned during the instant, in the order of those wake-ups and spawns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 Behavior = Generator  # a behavior is any generator yielding kernel commands
 
@@ -126,7 +126,7 @@ COOPERATE = _Cooperate()
 @dataclass(frozen=True)
 class InstantReport:
     instant: int
-    alive: int
+    alive: int  # started, not yet finished (a world's cells from their first trigger on)
     terminated: int
     generated: int
     steps: int  # micro-steps: behavior resumptions in this instant
@@ -157,11 +157,20 @@ class Scheduler:
         self._next_eid += 1
         return e
 
-    def spawn(self, gen: Behavior) -> int:
-        """Queue a behavior; it takes its first step next instant."""
-        bid = self._next_bid
-        self._next_bid += 1
-        self._pending_spawns.append((bid, gen, None))
+    def reserve(self, n: int) -> range:
+        """Set aside ``n`` consecutive spawn ids, for ``spawn(gen, bid)`` only."""
+        self._next_bid += n
+        return range(self._next_bid - n, self._next_bid)
+
+    def spawn(self, gen: Behavior, bid: Optional[int] = None) -> int:
+        """Queue a behavior; it takes its first step next instant, or, with a
+        ``bid`` from ``reserve`` (used once), last in the running instant if any."""
+        if bid is None:
+            bid = self._next_bid
+            self._next_bid += 1
+            self._pending_spawns.append((bid, gen, None))
+        else:
+            (self._run if self._active else self._resume).append((bid, gen, None))
         self.alive += 1
         return bid
 

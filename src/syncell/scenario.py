@@ -44,9 +44,9 @@ A scenario is a small line-based text file:
     kind=up
 
 Sections may repeat and appear in any order; keys are one per line; repeated
-[grid] and [run] sections merge. ``build_world`` spawns one behavior per
-non-wall cell, one ``emitter`` per source and one for all detectors; the
-emitters fire their first shots in the first instant run.
+[grid] and [run] sections merge. ``build_world`` spawns one ``emitter`` per
+source and one behavior for all detectors, which fire their first shots in
+the first instant run; a cell's behavior starts at its first trigger.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .world import (
     collector_paused,
     direction_dy,
     opposite,
+    start_cell,
 )
 
 MAX_CELLS = 1_000_000  # the largest grid build_world allocates
@@ -268,6 +269,8 @@ def fire(
     ctx = world.new_context(
         measure=measure, chosen_state=chosen_state, spawn_velocity=spawn_velocity
     )
+    if cell.kind is None:
+        start_cell(world, cell, direction)
     world.sched.generate(cell.trigger, (direction, state % world.base, ctx))
     return ctx
 
@@ -338,9 +341,9 @@ def _open_cells(grid, d: DetectorSpec):
 
 @collector_paused()
 def build_world(spec: ScenarioSpec) -> World:
-    """Construct the world: geometry, one behavior per cell, one emitter per
-    source, one behavior for all detectors. The first shots fire in instant
-    0. The cyclic collector is paused while it builds."""
+    """Construct the world: geometry, one emitter per source, one behavior
+    for all detectors (cells start at their first trigger). The first shots
+    fire in instant 0. The cyclic collector is paused while it builds."""
     if not (2 <= spec.base <= 6):
         raise ScenarioError(f"base must be within 2..6, got {spec.base}")
     if spec.width < 3 or spec.height < 3:
@@ -392,8 +395,6 @@ def build_world(spec: ScenarioSpec) -> World:
                 if cell.trigger is None:  # not carved by an earlier slit
                     cell.kind = None
                     cell.trigger = world.sched.new_event()
-
-    world.spawn_cell_behaviors()
 
     for i, s in enumerate(spec.sources):
         _check_inside(spec, s.x, s.y, f"source #{i}", s.line)

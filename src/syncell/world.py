@@ -1,8 +1,8 @@
 """The cellular world: grid, cells, and the transmit/collect cell cycle.
 
 A virtual particle is the set of visible cells of one emission: the keys of
-``World.visible`` whose value is that emission's context. Each non-wall cell
-runs one ``cell_behavior`` on the shared scheduler. The cycle of a triggered
+``World.visible`` whose value is that emission's context. A non-wall cell
+runs one ``cell_behavior`` from its first trigger on. The cycle of a triggered
 cell spans instants: no step runs in the instant it is triggered; one
 instant later it resumes with every activation of that instant, combines
 them, settles its state and becomes visible, and one instant after that
@@ -127,7 +127,7 @@ class Cell:
     takes ``kind`` and ``ctx`` from the last activation, a plain ``(kind,
     basic_state, ctx)`` tuple; both are None until one first reaches the
     cell. Exactly the BRICK cells have no trigger event; they never run a
-    behavior.
+    behavior; a non-wall cell has one iff its ``kind`` is not None.
     """
 
     __slots__ = ("x", "y", "kind", "basic_state", "trigger", "ctx")
@@ -197,6 +197,7 @@ class World:
         microstep_budget: int = DEFAULT_MICROSTEP_BUDGET,
     ):
         self.sched = Scheduler(microstep_budget)
+        self.cell_ids = self.sched.reserve(width * height)
         self.grid = Grid(width, height, self.sched)
         self.rng = random.Random(seed)
         self.seed = seed
@@ -231,12 +232,6 @@ class World:
         )
         self._ctx_serial += 1
         return ctx
-
-    def spawn_cell_behaviors(self) -> None:
-        """One behavior per non-BRICK cell, in row-major order."""
-        for c in self.grid.cells():
-            if c.kind is not BRICK:
-                self.sched.spawn(cell_behavior(self, c))
 
     def add_particle(self, p) -> None:
         """Register a particle, to move from the next instant to start on; the
@@ -302,9 +297,18 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
     a = (c.kind, c.basic_state, c.ctx)
     cells = grid._cells
     i = (c.y + dy) * grid.width + c.x
-    for trigger in (cells[i - 1].trigger, cells[i].trigger, cells[i + 1].trigger):
-        if trigger is not None:
-            sched.generate(trigger, a)
+    for t in (cells[i - 1], cells[i], cells[i + 1]):
+        if t.kind is None:
+            start_cell(world, t, c.kind)
+        if t.trigger is not None:
+            sched.generate(t.trigger, a)
+
+
+def start_cell(world: World, c: Cell, kind: CellKind) -> None:
+    """Start never-triggered ``c`` (``kind`` None) under its reserved id as its
+    first activation, of direction ``kind``, is generated: it steps later this instant."""
+    c.kind = kind
+    world.sched.spawn(cell_behavior(world, c), world.cell_ids[world.grid.linear(c.x, c.y)])
 
 
 def cell_reset(world: World, c: Cell) -> None:
@@ -315,9 +319,7 @@ def cell_reset(world: World, c: Cell) -> None:
 def cell_behavior(world: World, c: Cell):
     """The non-terminating cycle of one cell (see the module docstring).
 
-    Add no local: each costs 8 B x 39,008 suspended frames on young200."""
-    from .measure import reduce
-
+    Add no local: each costs 8 B per started cell."""
     collect_trigger = AwaitCollect(c.trigger)
     while True:
         # resumes the instant after the trigger, with every activation of it
@@ -343,3 +345,6 @@ def cell_behavior(world: World, c: Cell):
         else:
             awake_neighbourhood(world, c)
         cell_reset(world, c)
+
+
+from .measure import reduce  # noqa: E402  (last: measure imports this module)

@@ -178,7 +178,6 @@ def test_criterion_2_oracle_equivalence():
     assert rows[2] == {-2: 3, -1: 5, 0: 1, 1: 5, 2: 3}  # pinned fixture
 
     w = World(111, 56, seed=0)
-    w.spawn_cell_behaviors()
     src_x, src_y = 55, 52
 
     def igniter():

@@ -373,3 +373,13 @@ def test_the_cli_module_runs_without_warnings():
 def test_importing_the_library_leaves_the_cli_unloaded():
     done = python("-c", "import sys, syncell; print('syncell.cli' in sys.modules)")
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize(
+    "module", ["kernel", "world", "measure", "particles", "scenario", "render", "stats", "cli"]
+)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # world imports measure at its end, and measure imports world: whichever
+    # of them is imported first, the other must find what it needs
+    done = python("-W", "error", "-c", f"import syncell.{module}")
+    assert (done.returncode, done.stderr) == (0, "")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from syncell import COOPERATE, ScenarioError, World, build_world, load_scenario, scenario
-from syncell.kernel import Await, DivergenceError
+from syncell.kernel import Await, DivergenceError, Scheduler
 from syncell.scenario import WallSpec
 
 from test_measure import _measured_worlds
@@ -97,19 +97,19 @@ def test_build_restores_the_callers_collector_state(enabled, collector_state, mo
     else:
         gc.disable()
     seen = []
-    spawn = World.spawn_cell_behaviors
+    reserve = Scheduler.reserve
 
-    def spawn_and_look(world):
+    def reserve_and_look(sched, n):  # World.__init__ reserves the cells' spawn ids
         seen.append(gc.isenabled())
-        return spawn(world)
+        return reserve(sched, n)
 
-    monkeypatch.setattr(World, "spawn_cell_behaviors", spawn_and_look)
+    monkeypatch.setattr(Scheduler, "reserve", reserve_and_look)
     spec = load_scenario(SCENARIOS / "single.scn")
     build_world(spec)
     assert seen == [False]
     assert gc.isenabled() is enabled
 
-    # rejected after the grid and the cell behaviors exist
+    # rejected after the grid exists
     [s] = spec.sources
     on_wall = replace(spec, walls=[WallSpec(x0=s.x, y0=s.y, x1=s.x, y1=s.y)])
     with pytest.raises(ScenarioError, match="sits on a wall"):

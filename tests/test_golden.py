@@ -12,9 +12,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from syncell import build_world, load_scenario, parse_scenario
+from syncell import UP, build_world, load_scenario, parse_scenario
 from syncell.scenario import ScenarioSpec, SourceSpec, run_world
+from syncell.world import cell_behavior
+
+from test_measure import _horizon, _measured_worlds
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -120,7 +124,7 @@ seed=5
 """
 
 
-def trace_digest(spec, instants: int) -> tuple[int, str]:
+def trace_links(spec, instants: int, prepare=None) -> list[str]:
     """Run ``spec`` through ``run_world`` and chain a SHA-256 over every instant.
 
     Each link hashes the previous link with the instant's canonical state:
@@ -129,10 +133,14 @@ def trace_digest(spec, instants: int) -> tuple[int, str]:
     instant ``(instant, detector, ctx serial, size, counts, chosen)`` and the
     reductions new in it ``(instant, ctx serial, cell id, state)``. The last
     link also covers every detection's final chosen state. Event ids are left
-    out: they number allocations, not behavior. Returns the instants executed
-    and the final link.
+    out: they number allocations, not behavior. ``prepare``, if given, is
+    called on the built world before its first instant. Returns one link per
+    instant executed, then the last link, in hex.
     """
     world = build_world(spec)
+    if prepare is not None:
+        prepare(world)
+    links = []
     stats = world.stats
     sched = world.sched
     run_instant = sched.run_instant
@@ -156,12 +164,19 @@ def trace_digest(spec, instants: int) -> tuple[int, str]:
         seen["reductions"] = len(stats.reductions)
         blob = repr((report.instant, visible, particles, detections, reductions))
         seen["link"] = hashlib.sha256(seen["link"] + blob.encode()).digest()
+        links.append(seen["link"].hex())
         return report
 
     sched.run_instant = traced
-    executed = run_world(world, instants).instants
+    run_world(world, instants)
     chosen = repr([d.chosen_state for d in stats.detections])
-    return executed, hashlib.sha256(seen["link"] + chosen.encode()).hexdigest()
+    return links + [hashlib.sha256(seen["link"] + chosen.encode()).hexdigest()]
+
+
+def trace_digest(spec, instants: int) -> tuple[int, str]:
+    """The instants executed and the last link of ``trace_links``."""
+    links = trace_links(spec, instants)
+    return len(links) - 1, links[-1]
 
 
 def _mixed(detectors: bool):
@@ -198,3 +213,29 @@ TRACE_GOLDEN = {
 def test_per_instant_evolution_is_pinned(case):
     make, instants = TRACE_CASES[case]
     assert trace_digest(make(), instants) == TRACE_GOLDEN[case]
+
+
+# -- cells started by their first trigger against cells started at build ---------
+
+
+def start_every_cell(world):
+    """Start every non-wall cell before instant 0, under its reserved id, with
+    ``kind`` set so that no trigger starts it again: each cell then takes its
+    first step in instant 0, as when ``build_world`` started them all."""
+    for c in world.grid.cells():
+        if c.kind is None:
+            c.kind = UP
+            world.sched.spawn(cell_behavior(world, c), world.cell_ids[world.grid.linear(c.x, c.y)])
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_cells_started_by_their_first_trigger_evolve_as_cells_started_at_build(case):
+    make, instants = TRACE_CASES[case]
+    assert trace_links(make(), instants) == trace_links(make(), instants, start_every_cell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measured_worlds())
+def test_generated_worlds_evolve_alike_with_cells_started_at_build(spec):
+    instants = _horizon(spec)
+    assert trace_links(spec, instants) == trace_links(spec, instants, start_every_cell)

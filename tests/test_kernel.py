@@ -342,6 +342,98 @@ def test_spawn_rule_composes_for_grandchildren():
     assert log == [("child", 1), ("grandchild", 2)]
 
 
+# -- reserved spawn ids -------------------------------------------------------------
+
+
+def test_reserved_spawn_in_an_instant_steps_in_it_after_everything_runnable():
+    s = Scheduler()
+    ids = s.reserve(2)
+    e = s.new_event()
+    log = []
+
+    def child(name):
+        log.append((name, s.clock))
+        yield COOPERATE
+
+    def waiter():
+        yield Await(e)
+        log.append(("woken", s.clock))
+
+    def parent():
+        s.spawn(child("reserved"), ids[1])
+        s.spawn(child("plain"))
+        s.generate(e)
+        log.append(("parent", s.clock))
+        yield COOPERATE
+
+    s.spawn(waiter())
+    s.spawn(parent())
+    report = s.run_instant()
+    # the start is queued like a wake-up: after the spawner's step, before the
+    # awaiter its generate woke later; a plain spawn waits for the next instant
+    assert log == [("parent", 0), ("reserved", 0), ("woken", 0)]
+    assert report.steps == 4 and report.alive == 3
+    s.run_instant()
+    assert log[3:] == [("plain", 1)]
+
+
+def test_reserved_behaviors_resume_in_id_order_not_start_order():
+    s = Scheduler()
+    ids = s.reserve(3)
+    log = []
+
+    def member(i):
+        while True:
+            log.append((s.clock, i))
+            yield COOPERATE
+
+    def starter():
+        for i in (2, 0, 1):
+            s.spawn(member(i), ids[i])
+        yield COOPERATE
+
+    s.spawn(starter())
+    drive(s, 3)
+    assert log == [(0, 2), (0, 0), (0, 1)] + [(t, i) for t in (1, 2) for i in range(3)]
+
+
+@given(st.lists(st.integers(0, 4), max_size=20))
+def test_reserved_ids_never_collide_with_spawned_ids(plan):
+    s = Scheduler()
+
+    def idle():
+        yield COOPERATE
+
+    spawned, reserved = [], []
+    for n in plan:  # 0 spawns a behavior, n > 0 reserves n ids
+        if n:
+            reserved.extend(s.reserve(n))
+        else:
+            spawned.append(s.spawn(idle()))
+    reserved = [s.spawn(idle(), bid) for bid in reserved]
+    spawned.append(s.spawn(idle()))
+    ids = spawned + reserved
+    assert len(set(ids)) == len(ids) == plan.count(0) + 1 + sum(plan)
+
+
+def test_reserved_spawn_between_instants_starts_next_instant_in_id_order():
+    s = Scheduler()
+    ids = s.reserve(1)
+    log = []
+
+    def behavior(name):
+        log.append((name, s.clock))
+        yield COOPERATE
+
+    s.spawn(behavior("plain"))
+    s.spawn(behavior("reserved"), ids[0])
+    assert log == [] and s.alive == 2 and not s.is_quiet()
+    s.run_instant()
+    # among the resumptions due at the start, sorted by id, so before the
+    # plain spawn (a higher id) although started after it
+    assert log == [("reserved", 0), ("plain", 0)]
+
+
 def test_empty_scheduler_instant_report():
     s = Scheduler()
     report = s.run_instant()

@@ -12,7 +12,6 @@ from syncell.scenario import ScenarioSpec, SourceSpec, DetectorSpec, build_world
 
 def fired_world():
     w = World(9, 9, seed=0)
-    w.spawn_cell_behaviors()
 
     def igniter():
         fire(w, w.grid.cell(4, 6), 1, UP, w.sched.new_event(), Holder(-1))

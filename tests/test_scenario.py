@@ -20,6 +20,7 @@ from syncell.scenario import (
     build_world,
     emitter,
     fire,
+    load_scenario,
     parse_scenario,
     run_world,
 )
@@ -149,15 +150,17 @@ def test_empty_world_has_dead_interior_and_brick_border():
     assert all(
         c.ctx is None and c.basic_state == 0 and not c.trigger.present for c in interior
     )
-    assert w.sched.alive == 18 * 18
+    # a cell's behavior starts at its first trigger: none has one yet
+    assert all(c.kind is None for c in interior)
+    assert w.sched.alive == 0
 
 
 def test_walls_are_brick_and_get_no_behavior():
     spec = ScenarioSpec(width=20, height=20, walls=[WallSpec(3, 5, 16, 6)])
     w = build_world(spec)
-    wall_cells = 14 * 2
-    assert w.sched.alive == 18 * 18 - wall_cells
+    assert w.sched.alive == 0  # walls and never-triggered cells have no behavior
     assert all(w.grid.cell(x, y).kind is BRICK for y in (5, 6) for x in range(3, 17))
+    assert sum(c.kind is None for c in w.grid.cells()) == 18 * 18 - 14 * 2
 
 
 def test_open_slit_carves_through_its_wall():
@@ -171,7 +174,10 @@ def test_open_slit_carves_through_its_wall():
     assert w.grid.cell(7, 9).kind is not BRICK
     assert w.grid.cell(8, 9).kind is not BRICK
     assert w.grid.cell(6, 9).kind is BRICK
-    assert w.sched.alive == 18 * 18 - (18 - 2)
+    # the carved cells are open and, like every cell, not started before a trigger
+    assert w.grid.cell(7, 9).kind is None and w.grid.cell(7, 9).trigger is not None
+    assert sum(c.kind is None for c in w.grid.cells()) == 18 * 18 - (18 - 2)
+    assert w.sched.alive == 0
 
 
 def test_behavior_bookkeeping_with_source_and_detector():
@@ -182,7 +188,21 @@ def test_behavior_bookkeeping_with_source_and_detector():
         detectors=[DetectorSpec(x0=2, y0=5, x1=17, y1=5)],
     )
     w = build_world(spec)
-    assert w.sched.alive == 18 * 18 + 2
+    assert w.sched.alive == 2  # the emitter and the detector behavior
+    w.run(1)  # the first shot starts the one fired cell
+    assert w.sched.alive == 3 and w.grid.cell(10, 15).kind is UP
+
+
+def test_young200_builds_in_14_mb_and_starts_only_the_cells_it_triggers():
+    spec = load_scenario(SCENARIOS / "young200.scn")
+    # one suspended behavior per non-wall cell took 26.4 MB of this
+    assert build_peak_bytes(spec) <= 14_000_000
+    w = build_world(spec)
+    w.run(300)
+    # 641 cells triggered by then, of 39,008, plus the emitter, the detector
+    # behavior and the particle stepper
+    assert w.sched.alive == 644
+    assert w.sched.alive - 3 == sum(c.kind in (UP, DOWN) for c in w.grid.cells())
 
 
 @pytest.mark.parametrize(
@@ -487,9 +507,7 @@ def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
 
 
 def manual_world(width=21, height=21, seed=1):
-    w = World(width, height, seed=seed)
-    w.spawn_cell_behaviors()
-    return w
+    return World(width, height, seed=seed)
 
 
 def test_standard_fire_builds_an_entirely_fresh_context():

@@ -9,9 +9,7 @@ from syncell.world import awake_neighbourhood, cell_behavior, cell_reset
 
 
 def open_world(width=31, height=31, seed=0):
-    w = World(width, height, seed=seed)
-    w.spawn_cell_behaviors()
-    return w
+    return World(width, height, seed=seed)
 
 
 def fire_once(w, x, y, state=0, direction=UP):
@@ -216,10 +214,10 @@ def test_a_visible_cell_yields_its_contexts_one_collect():
     assert ctx.collect_measure.event is ctx.measure
 
 
-def test_cell_behavior_frame_holds_at_most_ten_locals():
-    # every non-wall cell keeps one suspended cell_behavior frame (39,008 on
-    # young200), so each further local costs 8 B x 39,008 frames, about 0.3 MB
-    assert cell_behavior.__code__.co_nlocals <= 10
+def test_cell_behavior_frame_holds_at_most_nine_locals():
+    # every started cell keeps one suspended cell_behavior frame, so each
+    # further local costs 8 B per started cell
+    assert cell_behavior.__code__.co_nlocals <= 9
 
 
 def test_cell_reset_is_idempotent_and_restores_initial_state():
@@ -297,7 +295,18 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
     """No step in the trigger instant, one to combine, one to transmit."""
     w = World(9, 9)
     c = w.grid.cell(4, 6)
-    w.sched.spawn(cell_behavior(w, c))
+    cell_steps = []
+
+    def counted(gen):  # the fired cell's behavior, noting the instant of each step
+        value = None
+        while True:
+            cell_steps.append(w.sched.clock)
+            value = yield gen.send(value)
+
+    # started before the trigger, as a cell that ran a cycle before is; its
+    # kind keeps fire from starting it again
+    c.kind = UP
+    w.sched.spawn(counted(cell_behavior(w, c)), w.cell_ids[w.grid.linear(c.x, c.y)])
     heard = []
 
     def trigger_spy():  # wakes once, when the cell ahead is triggered
@@ -314,15 +323,16 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
 
     w.sched.spawn(igniter())
     steps = [w.sched.run_instant().steps for _ in range(4)]
-    # igniter; combine; transmit, reset, park (and the spy's one step); none
-    assert steps == [1, 1, 2, 0]
+    assert [cell_steps.count(t) for t in range(1, 5)] == [0, 1, 1, 0]
+    # igniter; combine; transmit, reset, park, the spy's step and the three
+    # cells ahead starting; their combine steps
+    assert steps == [1, 1, 5, 3]
     assert heard == [3] and c not in w.visible
 
 
 @pytest.mark.parametrize("base, state", [(6, 5), (6, 0), (3, 2), (2, 1)])
 def test_one_cycle_settles_the_fired_state_plus_one_modulo_base(base, state):
     w = World(15, 15, base=base)
-    w.spawn_cell_behaviors()
     fire_once(w, 7, 12, state=state)
     run_to(w, 2)
     assert w.snapshot() == [(7, 12, (state + 1) % base)]
