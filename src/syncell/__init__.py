@@ -21,7 +21,6 @@ from .kernel import (
     Scheduler,
 )
 from .world import (
-    BRICK,
     Cell,
     CellKind,
     DOWN,
@@ -44,12 +43,11 @@ from .scenario import (
     run_scenario,
 )
 from .render import FrameBuffer
-from .stats import RunReport, frequency_table
+from .stats import RunReport
 
 __all__ = [
     "Await",
     "AwaitCollect",
-    "BRICK",
     "COOPERATE",
     "Cell",
     "CellKind",
@@ -76,7 +74,6 @@ __all__ = [
     "choose",
     "expected_distribution",
     "fire",
-    "frequency_table",
     "load_scenario",
     "parse_scenario",
     "run_scenario",

@@ -17,7 +17,7 @@ import random
 from .kernel import COOPERATE, Await, Collect
 from .particles import RealParticle
 from .stats import DetectionRecord, ReductionRecord
-from .world import Cell, World, direction_dy
+from .world import Cell, World
 
 # instants from the measurement broadcast to the member cells' reset
 REDUCE_WINDOW = 5
@@ -108,7 +108,7 @@ def reduce(world: World, c: Cell):
         if ctx.spawn_velocity is not None:
             vx, vy = ctx.spawn_velocity
         else:
-            vx, vy = 0.0, float(direction_dy(c.kind))
+            vx, vy = 0.0, float(c.kind.value)
         p = RealParticle(c.x + 0.5, c.y + 0.5, vx, vy, state)
         world.add_particle(p)
         world.stats.record_reduction(

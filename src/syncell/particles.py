@@ -38,13 +38,14 @@ class RealParticle:
 def step_particles(particles, walls: bytes, width: int, height: int) -> None:
     """Move each particle by its velocity, then reflect off the walls run into.
 
-    ``walls`` is the grid's ``wall_mask``; off-grid counts as wall. Each
-    offending component is flipped and restored to its pre-step value, so a
-    legal position stays legal and speed magnitude is conserved. A corner hit
-    flips both components. A step reads only its particle and the mask, so
-    order does not matter. Cells come from ``math.floor``, faster than
-    ``int``; they differ only on (-1, 0), off-grid for ``floor`` and the BRICK
-    border ring for ``int``, both wall, so every reflection is the same.
+    ``walls`` is the grid's wall mask, ``Grid.walls``; off-grid counts as
+    wall. Each offending component is flipped and restored to its pre-step
+    value, so a legal position stays legal and speed magnitude is conserved.
+    A corner hit flips both components. A step reads only its particle and
+    the mask, so order does not matter. Cells come from ``math.floor``,
+    faster than ``int``; they differ only on (-1, 0), off-grid for ``floor``
+    and the wall border ring for ``int``, both wall, so every reflection is
+    the same.
     """
     for p in particles:
         x0, y0, vx, vy = p.fx, p.fy, p.vx, p.vy
@@ -66,7 +67,7 @@ def particle_stepper(world):
     """Step, once per instant, the particles whose start instant has come:
     a prefix of ``world.particles``, as ``world.particle_starts`` never falls."""
     grid = world.grid
-    walls, width, height = grid.wall_mask(), grid.width, grid.height
+    walls, width, height = grid.walls, grid.width, grid.height
     sched, particles, starts = world.sched, world.particles, world.particle_starts
     while True:
         step_particles(particles[: bisect_right(starts, sched.clock)], walls, width, height)

@@ -51,7 +51,7 @@ class FrameBuffer:
 
     def _paint_static(self, world: World) -> bytes:
         width = self.width
-        static = bytearray(world.grid.wall_mask())  # its BRICK byte 1 is WALL
+        static = bytearray(world.grid.walls)  # its wall byte 1 is WALL
         for d in world.detectors:
             for y in range(d.y0, d.y1 + 1):
                 for x in range(d.x0, d.x1 + 1):

@@ -60,7 +60,6 @@ from .measure import detector_behavior
 from .render import FrameBuffer
 from .stats import RunReport, digest_text, state_fractions
 from .world import (
-    BRICK,
     Cell,
     CellKind,
     DOWN,
@@ -69,8 +68,6 @@ from .world import (
     UP,
     World,
     collector_paused,
-    direction_dy,
-    opposite,
     start_cell,
 )
 
@@ -250,7 +247,7 @@ def load_scenario(path) -> ScenarioSpec:
 
 def fire(
     world: World,
-    cell: Cell,
+    cell: Optional[Cell],
     state: int,
     direction: CellKind,
     measure: Event,
@@ -263,9 +260,10 @@ def fire(
     standard source passes fresh ones per shot, an entangled source passes
     the pair shared by both beams. ``spawn_velocity`` optionally overrides
     the axis-aligned velocity of the particle this emission may end in.
+    A wall has no cell: firing into one (``cell`` None) raises ScenarioError.
     """
-    if cell.kind is BRICK:
-        raise ScenarioError(f"cannot fire into wall cell ({cell.x},{cell.y})")
+    if cell is None:
+        raise ScenarioError("cannot fire into a wall")
     ctx = world.new_context(
         measure=measure, chosen_state=chosen_state, spawn_velocity=spawn_velocity
     )
@@ -277,7 +275,7 @@ def fire(
 
 def _beam_directions(spec: SourceSpec) -> tuple[CellKind, ...]:
     if spec.entangled:
-        return (spec.direction, opposite(spec.direction))
+        return (spec.direction, CellKind(-spec.direction.value))
     return (spec.direction,)
 
 
@@ -296,11 +294,11 @@ def emitter(world: World, spec: SourceSpec):
         if spec.vx is not None or spec.vy is not None:
             vx = 0.0 if spec.vx is None else spec.vx
             if spec.vy is None:
-                vy = float(direction_dy(direction))
+                vy = float(direction.value)
             else:
                 vy = spec.vy if direction is spec.direction else -spec.vy
             velocity = (vx, vy)
-        cell = world.grid.cell(spec.x, spec.y + direction_dy(direction))
+        cell = world.grid.cell(spec.x, spec.y + direction.value)
         beams.append((cell, direction, velocity))
     sched = world.sched
     for _ in range(spec.shots):
@@ -322,11 +320,11 @@ def _check_inside(spec: ScenarioSpec, x: int, y: int, what: str, line: int) -> N
         )
 
 
-def _rectangle(grid, what: str, r, empty: str) -> int:
+def _rectangle(spec: ScenarioSpec, what: str, r, empty: str) -> int:
     """Check that a wall or detector rectangle is on the grid and not empty;
     return its number of cells."""
     for x, y in ((r.x0, r.y0), (r.x1, r.y1)):
-        if not grid.in_range(x, y):
+        if not (0 <= x < spec.width and 0 <= y < spec.height):
             raise ScenarioError(f"{what} (line {r.line}): corner ({x},{y}) is off the grid")
     if r.x1 < r.x0 or r.y1 < r.y0:
         raise ScenarioError(f"{what} (line {r.line}): {empty}")
@@ -334,16 +332,17 @@ def _rectangle(grid, what: str, r, empty: str) -> int:
 
 
 def _open_cells(grid, d: DetectorSpec):
-    """The non-wall cells of a detector's rectangle, row by row."""
+    """The cells of a detector's rectangle, row by row; walls have none."""
     rows, columns = range(d.y0, d.y1 + 1), range(d.x0, d.x1 + 1)
-    return (c for y in rows for x in columns if (c := grid.cell(x, y)).kind is not BRICK)
+    return (c for y in rows for x in columns if (c := grid.cell(x, y)) is not None)
 
 
 @collector_paused()
 def build_world(spec: ScenarioSpec) -> World:
-    """Construct the world: geometry, one emitter per source, one behavior
-    for all detectors (cells start at their first trigger). The first shots
-    fire in instant 0. The cyclic collector is paused while it builds."""
+    """Construct the world: the wall mask of walls and open slits, one emitter
+    per source, one behavior for all detectors (cells start at their first
+    trigger). The first shots fire in instant 0. The cyclic collector is
+    paused while it builds."""
     if not (2 <= spec.base <= 6):
         raise ScenarioError(f"base must be within 2..6, got {spec.base}")
     if spec.width < 3 or spec.height < 3:
@@ -352,10 +351,8 @@ def build_world(spec: ScenarioSpec) -> World:
         raise ScenarioError(
             f"grid {spec.width}x{spec.height} has more than {MAX_CELLS:,} cells"
         )
-    world = World(spec.width, spec.height, seed=spec.seed, base=spec.base)
-    world.scenario_digest = spec.digest
-
-    grid = world.grid
+    width = spec.width
+    walls = bytearray(width * spec.height)
     covered = 0
 
     def cover(what: str, line: int, cells: int) -> None:
@@ -368,10 +365,10 @@ def build_world(spec: ScenarioSpec) -> World:
             )
 
     for i, w in enumerate(spec.walls):
-        cover(f"wall #{i}", w.line, _rectangle(grid, f"wall #{i}", w, "empty rectangle"))
+        cover(f"wall #{i}", w.line, _rectangle(spec, f"wall #{i}", w, "empty rectangle"))
+        brick = b"\1" * (w.x1 - w.x0 + 1)
         for y in range(w.y0, w.y1 + 1):
-            for x in range(w.x0, w.x1 + 1):
-                grid.set_brick(x, y)
+            walls[y * width + w.x0 : y * width + w.x1 + 1] = brick
 
     for i, s in enumerate(spec.slits):
         if not (0 <= s.wall < len(spec.walls)):
@@ -389,16 +386,17 @@ def build_world(spec: ScenarioSpec) -> World:
         cover(f"slit #{i}", s.line, (s.x1 - s.x0 + 1) * (w.y1 - w.y0 + 1))
         for x, y in ((s.x0, w.y0), (s.x1, w.y0), (s.x0, w.y1)):  # first off-interior cell
             _check_inside(spec, x, y, f"slit #{i}", s.line)
+        gap = bytes(s.x1 - s.x0 + 1)
         for y in range(w.y0, w.y1 + 1):
-            for x in range(s.x0, s.x1 + 1):
-                cell = grid.cell(x, y)
-                if cell.trigger is None:  # not carved by an earlier slit
-                    cell.kind = None
-                    cell.trigger = world.sched.new_event()
+            walls[y * width + s.x0 : y * width + s.x1 + 1] = gap
+
+    world = World(width, spec.height, seed=spec.seed, base=spec.base, walls=walls)
+    world.scenario_digest = spec.digest
+    grid = world.grid
 
     for i, s in enumerate(spec.sources):
         _check_inside(spec, s.x, s.y, f"source #{i}", s.line)
-        if grid.cell(s.x, s.y).kind is BRICK:
+        if grid.cell(s.x, s.y) is None:
             raise ScenarioError(
                 f"source #{i} (line {s.line}): ({s.x},{s.y}) sits on a wall"
             )
@@ -416,17 +414,16 @@ def build_world(spec: ScenarioSpec) -> World:
                     f"source #{i} (line {s.line}): {name}={v} is outside -1.0..1.0"
                 )
         for direction in _beam_directions(s):
-            target = grid.cell(s.x, s.y + direction_dy(direction))
-            if target.kind is BRICK:
+            y = s.y + direction.value
+            if grid.cell(s.x, y) is None:
                 raise ScenarioError(
-                    f"source #{i} (line {s.line}): fired cell "
-                    f"({target.x},{target.y}) is a wall"
+                    f"source #{i} (line {s.line}): fired cell ({s.x},{y}) is a wall"
                 )
         world.sources.append(s)
         world.sched.spawn(emitter(world, s))
 
     for i, d in enumerate(spec.detectors):
-        cover(f"detector #{i}", d.line, _rectangle(grid, f"detector #{i}", d, "empty zone"))
+        cover(f"detector #{i}", d.line, _rectangle(spec, f"detector #{i}", d, "empty zone"))
         if not any(_open_cells(grid, d)):
             raise ScenarioError(
                 f"detector #{i} (line {d.line}): zone covers only wall cells"

@@ -162,21 +162,6 @@ class FrequencyRow:
         return self.total == 0
 
 
-def frequency_table(reports, labels=None) -> list[FrequencyRow]:
-    """Empirical per-state frequencies, one row per run report.
-
-    Counts are aggregated over all detectors of each report. Fractions of a
-    non-empty row sum to 1 up to float rounding; a report with zero resolved
-    detections yields a row of zeros with ``empty`` set.
-    """
-    return [
-        FrequencyRow.from_counts(
-            labels[i] if labels else f"run{i}", report.detector_counts, report.base
-        )
-        for i, report in enumerate(reports)
-    ]
-
-
 def frequency_csv(rows: list[FrequencyRow]) -> str:
     base = len(rows[0].fractions) if rows else 0
     cols = ",".join(f"state{s}" for s in range(base))

@@ -26,17 +26,14 @@ from .stats import RunStats
 
 
 class CellKind(Enum):
-    UP = "up"
-    DOWN = "down"
-    BRICK = "brick"
+    """A direction of travel; its value is its row step (y grows downwards)."""
+
+    UP = -1
+    DOWN = 1
 
 
 UP = CellKind.UP
 DOWN = CellKind.DOWN
-BRICK = CellKind.BRICK
-
-# grid convention: UP means decreasing y, DOWN means increasing y
-_DY = {UP: -1, DOWN: 1}
 
 
 @contextmanager
@@ -52,14 +49,6 @@ def collector_paused():
     finally:
         if collecting:
             gc.enable()
-
-
-def direction_dy(kind: CellKind) -> int:
-    return _DY[kind]
-
-
-def opposite(kind: CellKind) -> CellKind:
-    return DOWN if kind is UP else UP
 
 
 class Holder:
@@ -119,23 +108,22 @@ class MeasurementContext:
 
 
 class Cell:
-    """One grid site.
+    """One open grid site; a wall has none.
 
     ``kind``, ``basic_state`` and ``ctx`` are only meaningful while the cell
     is in ``World.visible`` (between its combine step and its reset); outside
     that window they are leftovers of the previous cycle. The combine step
     takes ``kind`` and ``ctx`` from the last activation, a plain ``(kind,
     basic_state, ctx)`` tuple; both are None until one first reaches the
-    cell. Exactly the BRICK cells have no trigger event; they never run a
-    behavior; a non-wall cell has one iff its ``kind`` is not None.
+    cell. The cell runs a behavior iff its ``kind`` is not None.
     """
 
     __slots__ = ("x", "y", "kind", "basic_state", "trigger", "ctx")
 
-    def __init__(self, x: int, y: int, kind: Optional[CellKind], trigger: Optional[Event]):
+    def __init__(self, x: int, y: int, trigger: Event):
         self.x = x
         self.y = y
-        self.kind = kind
+        self.kind: Optional[CellKind] = None
         self.basic_state = 0
         self.trigger = trigger
         self.ctx: Optional[MeasurementContext] = None
@@ -145,48 +133,41 @@ class Cell:
 
 
 class Grid:
-    """Dense cell array with a BRICK border ring. Only ``build_world`` sets or
-    carves walls, before any instant runs, so a ``wall_mask`` never goes stale."""
+    """The wall mask and one ``Cell`` per other site, both fixed at construction.
 
-    def __init__(self, width: int, height: int, sched: Scheduler):
+    ``walls`` holds one byte per site in row-major order, 1 for a wall; the
+    border ring is wall whatever the given mask says there. Every other site
+    gets a ``Cell`` with its trigger, made in row-major order, and ``cell``
+    returns None at a wall."""
+
+    def __init__(self, width: int, height: int, sched: Scheduler, walls: Optional[bytes] = None):
         if width < 3 or height < 3:
             raise ValueError("grid needs at least a border ring plus interior")
+        mask = bytearray(width * height) if walls is None else bytearray(walls)
+        if len(mask) != width * height or mask.translate(None, b"\0\1"):
+            raise ValueError(f"a wall mask is {width}x{height} bytes, each 0 or 1")
+        mask[:width] = mask[-width:] = b"\1" * width
+        mask[::width] = mask[width - 1 :: width] = b"\1" * height
         self.width = width
         self.height = height
-        cells = []
-        for y in range(height):
-            for x in range(width):
-                if x == 0 or y == 0 or x == width - 1 or y == height - 1:
-                    cells.append(Cell(x, y, BRICK, None))
-                else:
-                    cells.append(Cell(x, y, None, sched.new_event()))
-        self._cells = cells
+        self.walls = bytes(mask)
+        new_event = sched.new_event
+        self._cells = [
+            None if wall else Cell(i % width, i // width, new_event())
+            for i, wall in enumerate(self.walls)
+        ]
 
-    def cell(self, x: int, y: int) -> Cell:
+    def cell(self, x: int, y: int) -> Optional[Cell]:
         return self._cells[y * self.width + x]
-
-    def in_range(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def set_brick(self, x: int, y: int) -> None:
-        c = self._cells[y * self.width + x]
-        c.kind = BRICK
-        c.trigger = None
 
     def linear(self, x: int, y: int) -> int:
         """Injective cell identity used on the reduction roll-call."""
         return y * self.width + x
 
-    def cells(self):
-        return iter(self._cells)
-
-    def wall_mask(self) -> bytes:
-        """One byte per cell in row-major order: 1 for BRICK, 0 otherwise."""
-        return bytes(c.kind is BRICK for c in self._cells)
-
 
 class World:
-    """Grid, scheduler, RNG and run-wide registries for one simulation."""
+    """Grid, scheduler, RNG and run-wide registries for one simulation;
+    ``walls`` is the grid's wall mask (see ``Grid``)."""
 
     def __init__(
         self,
@@ -195,10 +176,11 @@ class World:
         seed: int = 0,
         base: int = 6,
         microstep_budget: int = DEFAULT_MICROSTEP_BUDGET,
+        walls: Optional[bytes] = None,
     ):
         self.sched = Scheduler(microstep_budget)
         self.cell_ids = self.sched.reserve(width * height)
-        self.grid = Grid(width, height, self.sched)
+        self.grid = Grid(width, height, self.sched, walls)
         self.rng = random.Random(seed)
         self.seed = seed
         self.base = base
@@ -284,9 +266,8 @@ class World:
 
 def awake_neighbourhood(world: World, c: Cell) -> None:
     """Trigger the three forward neighbours (row above for UP, below for DOWN)
-    left to right, skipping walls. Indexing needs no range check: a cell that
-    can transmit is interior (the BRICK border ring), and exactly the BRICK
-    cells have no trigger (kept so by ``Grid`` and ``build_world``)."""
+    left to right, skipping walls. Indexing needs no range check: a cell is
+    never on the border ring of walls (``Grid``)."""
     if c.kind is UP:
         dy = -1
     elif c.kind is DOWN:
@@ -298,9 +279,9 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
     cells = grid._cells
     i = (c.y + dy) * grid.width + c.x
     for t in (cells[i - 1], cells[i], cells[i + 1]):
-        if t.kind is None:
-            start_cell(world, t, c.kind)
-        if t.trigger is not None:
+        if t is not None:
+            if t.kind is None:
+                start_cell(world, t, c.kind)
             sched.generate(t.trigger, a)
 
 

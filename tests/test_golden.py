@@ -222,8 +222,9 @@ def start_every_cell(world):
     """Start every non-wall cell before instant 0, under its reserved id, with
     ``kind`` set so that no trigger starts it again: each cell then takes its
     first step in instant 0, as when ``build_world`` started them all."""
-    for c in world.grid.cells():
-        if c.kind is None:
+    grid = world.grid
+    for c in (grid.cell(x, y) for y in range(grid.height) for x in range(grid.width)):
+        if c is not None and c.kind is None:
             c.kind = UP
             world.sched.spawn(cell_behavior(world, c), world.cell_ids[world.grid.linear(c.x, c.y)])
 

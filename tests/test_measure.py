@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from syncell import BRICK, COOPERATE, DOWN, Holder, UP, World, load_scenario, measure
+from syncell import COOPERATE, DOWN, Holder, UP, World, load_scenario, measure
 from syncell.measure import REDUCE_WINDOW, choose, set_chosen_state
 from syncell.scenario import (
     DetectorNotReachedError,
@@ -26,6 +26,12 @@ from syncell.scenario import (
 from instant_log import InstantLog, assert_collapses
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def cells_of(grid):
+    """Every cell of the grid in row-major order; a wall has none."""
+    sites = (grid.cell(x, y) for y in range(grid.height) for x in range(grid.width))
+    return [c for c in sites if c is not None]
 
 
 def measured_contacts(w, detector=0):
@@ -280,7 +286,7 @@ def test_collapse_runs_in_the_cell_cycle_with_one_draw_per_context(
     # trigger, the particle stepper is the run's only spawn
     started = spawned.pop("cell_behavior")
     assert spawned == Counter({"particle_stepper": 1})
-    assert started == sum(c.kind in (UP, DOWN) for c in w.grid.cells())
+    assert started == sum(c.kind in (UP, DOWN) for c in cells_of(w.grid))
     assert len(draws) == contexts_per_collapse * collapses
 
 
@@ -356,7 +362,8 @@ def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec)
         log(world, report)
         for p in world.particles:
             x, y = math.floor(p.fx), math.floor(p.fy)
-            assert grid.in_range(x, y) and grid.cell(x, y).kind is not BRICK, p
+            assert 0 <= x < grid.width and 0 <= y < grid.height, p
+            assert grid.cell(x, y) is not None, p
 
     w.run(_horizon(spec), on_instant=check_instant)
     assert all(rec.measured for rec in w.stats.detections)
@@ -438,7 +445,7 @@ def test_one_detector_behavior_serves_every_detector():
     assert w.sched.alive == len(spec.sources) + 1
     # the union of the two overlapping zones: every non-wall cell of rows 3..12
     assert w.zone_cells == {
-        c for c in w.grid.cells() if c.kind is not BRICK and 3 <= c.y <= 12
+        c for c in cells_of(w.grid) if 3 <= c.y <= 12
     }
 
 

@@ -11,12 +11,11 @@ from syncell.scenario import (
     DetectorSpec,
     build_world,
 )
-from syncell.world import BRICK
 
 
 def stepper_for(w):
     """step_particles over one particle, with the world's wall mask."""
-    walls = w.grid.wall_mask()
+    walls = w.grid.walls
     return lambda p: step_particles([p], walls, w.grid.width, w.grid.height)
 
 
@@ -65,9 +64,7 @@ def test_corner_hit_flips_both_components():
 
 
 def test_interior_wall_reflects_too():
-    w = World(15, 15)
-    for y in range(15):
-        w.grid.set_brick(7, y)
+    w = World(15, 15, walls=bytes(i % 15 == 7 for i in range(15 * 15)))  # column 7
     p = RealParticle(6.5, 7.5, 1.0, 0.0, 0)
     stepper_for(w)(p)
     assert p.vx == -1.0 and p.fx == 6.5
@@ -101,7 +98,7 @@ def test_long_run_containment_with_conserved_speed():
     for _ in range(10_000):
         step(p)
         assert 1.0 <= p.fx < 22.0 and 1.0 <= p.fy < 16.0
-        assert w.grid.cell(int(p.fx), int(p.fy)).kind is not BRICK
+        assert w.grid.cell(int(p.fx), int(p.fy)) is not None
         assert (abs(p.vx), abs(p.vy)) == (1.0, 1.0)
 
 
@@ -113,18 +110,21 @@ _SPEED = st.floats(-1.0, 1.0)
 @given(st.data())
 def test_stepping_a_list_equals_stepping_each_particle_alone(data):
     width, height = data.draw(st.integers(3, 16)), data.draw(st.integers(3, 16))
-    w = World(width, height)
     bricks = st.tuples(st.integers(1, width - 2), st.integers(1, height - 2))
+    mask = bytearray(width * height)
     for x, y in data.draw(st.lists(bricks, max_size=width * height // 4)):
-        w.grid.set_brick(x, y)
-    open_cells = [(c.x, c.y) for c in w.grid.cells() if c.kind is not BRICK]
+        mask[y * width + x] = 1
+    w = World(width, height, walls=mask)
+    open_cells = [
+        (x, y) for y in range(height) for x in range(width) if w.grid.cell(x, y) is not None
+    ]
     assume(open_cells)
     starts = [
         (x + data.draw(_UNIT), y + data.draw(_UNIT), data.draw(_SPEED), data.draw(_SPEED), s)
         for s, (x, y) in enumerate(data.draw(st.lists(st.sampled_from(open_cells), max_size=12)))
     ]
     steps = data.draw(st.integers(1, 40))
-    walls = w.grid.wall_mask()
+    walls = w.grid.walls
 
     together = [RealParticle(*start) for start in starts]
     for _ in range(steps):

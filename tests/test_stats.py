@@ -4,7 +4,6 @@ from syncell.stats import (
     FrequencyRow,
     RunReport,
     frequency_csv,
-    frequency_table,
     frequency_text,
     state_fractions,
 )
@@ -25,10 +24,8 @@ def report_with_counts(counts, seed=42):
 
 
 def test_frequency_table_normalizes_counts():
-    rows = frequency_table(
-        [report_with_counts([327, 23, 281, 153, 17, 199])], labels=["1 slit"]
-    )
-    [row] = rows
+    report = report_with_counts([327, 23, 281, 153, 17, 199])
+    row = FrequencyRow.from_counts("1 slit", report.detector_counts, report.base)
     assert row.label == "1 slit"
     assert row.fractions == [0.327, 0.023, 0.281, 0.153, 0.017, 0.199]
     assert abs(sum(row.fractions) - 1.0) < 1e-9
@@ -37,7 +34,8 @@ def test_frequency_table_normalizes_counts():
 
 def test_zero_detections_row_is_flagged_empty():
     for base in (6, 3):
-        [row] = frequency_table([report_with_counts([0] * base)])
+        report = report_with_counts([0] * base)
+        row = FrequencyRow.from_counts("run0", report.detector_counts, report.base)
         assert row.empty and row.fractions == [0.0] * base
         header, line = frequency_csv([row]).splitlines()
         assert header == "variant," + "".join(f"state{s}," for s in range(base)) + "total"
@@ -45,7 +43,8 @@ def test_zero_detections_row_is_flagged_empty():
 
 
 def test_single_state_gives_a_unit_entry():
-    [row] = frequency_table([report_with_counts([0, 0, 250, 0, 0, 0])])
+    report = report_with_counts([0, 0, 250, 0, 0, 0])
+    row = FrequencyRow.from_counts("run0", report.detector_counts, report.base)
     assert row.fractions[2] == 1.0 and sum(row.fractions) == 1.0
 
 

@@ -25,6 +25,15 @@ def run_to(w, clock):
         w.sched.run_instant()
 
 
+def test_a_grid_forces_its_border_ring_and_checks_its_wall_mask():
+    w = World(5, 4, walls=bytes(5 * 4))  # no wall given, not even the ring
+    assert w.grid.walls == b"\1" * 5 + b"\1\0\0\0\1" * 2 + b"\1" * 5
+    assert [w.grid.cell(x, 1) is None for x in range(5)] == [True, False, False, False, True]
+    for bad in (bytes(5 * 4 - 1), b"\2" * (5 * 4)):
+        with pytest.raises(ValueError, match="wall mask"):
+            World(5, 4, walls=bad)
+
+
 # -- triggering ----------------------------------------------------------------
 
 
@@ -51,14 +60,13 @@ def triggered_coords(w):
         (x, y)
         for y in range(w.grid.height)
         for x in range(w.grid.width)
-        if w.grid.cell(x, y).trigger is not None and w.grid.cell(x, y).trigger.present
+        if (c := w.grid.cell(x, y)) is not None and c.trigger.present
     ]
 
 
 def test_awake_neighbourhood_skips_bricks_and_carries_state():
-    w = World(9, 9)
+    w = World(9, 9, walls=bytes(i == 3 * 9 + 4 for i in range(9 * 9)))  # a wall at (4, 3)
     c = prepared_cell(w, 4, 4, UP, state=3)
-    w.grid.set_brick(4, 3)
     seen = {}
 
     def act():
@@ -135,9 +143,8 @@ def test_awake_neighbourhood_offsets_up_and_down():
 
 
 def test_awake_neighbourhood_near_wall_reaches_only_open_cells():
-    w = World(21, 21)
-    for x in (9, 10):  # wall over part of the row above
-        w.grid.set_brick(x, 9)
+    # wall over part of the row above: (9, 9) and (10, 9)
+    w = World(21, 21, walls=bytes(i in (9 * 21 + 9, 9 * 21 + 10) for i in range(21 * 21)))
     hit = {}
 
     def act():
@@ -150,7 +157,7 @@ def test_awake_neighbourhood_near_wall_reaches_only_open_cells():
 
 def test_brick_caller_cannot_transmit():
     w = World(9, 9)
-    c = w.grid.cell(0, 0)  # border brick
+    c = w.grid.cell(4, 4)  # never triggered, so it has no direction
     with pytest.raises(ValueError):
         awake_neighbourhood(w, c)
 
