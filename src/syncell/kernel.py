@@ -3,9 +3,8 @@
 Time advances in discrete *instants*. During the active phase of an instant,
 runnable behaviors take micro-steps until every behavior is suspended or
 finished; everything that happens inside one instant counts as simultaneous.
-The end-of-instant phase then snapshots the values collected on each event,
-clears all event buffers, and schedules newly spawned behaviors, after which
-the clock advances.
+The end-of-instant phase then snapshots the values collected on each event
+and clears all event buffers, after which the clock advances.
 
 A behavior is a generator. It suspends by yielding a command, a description
 the kernel only reads, so any behavior may yield one command object again:
@@ -23,16 +22,15 @@ the kernel only reads, so any behavior may yield one command object again:
 
 and it acts without suspending by calling ``Scheduler.generate(e, value)``
 (broadcast a value on an event, waking every awaiter this same instant) or
-``Scheduler.spawn(gen)`` (the new behavior takes its first step at the start
-of the next instant, or under an id from ``Scheduler.reserve`` in this one).
+``Scheduler.spawn(gen)`` (start a behavior; ``spawn(gen, bid)`` gives it an
+id from ``Scheduler.reserve`` that no live behavior holds, not a fresh one).
 
 Dispatch is deterministic: behaviors that become runnable together are
 ordered by their spawn id, so two runs of the same program produce identical
-event traces. An instant runs one list of ``(bid, gen, value)`` entries: the
-resumptions and reserved-id spawns due at its start, sorted by the unique
-spawn id, then the other behaviors spawned since the last instant started,
-in spawn order, then the awaiters woken and the reserved-id behaviors
-spawned during the instant, in the order of those wake-ups and spawns.
+event traces. An instant runs one list of ``(bid, gen, value)`` entries:
+first the start list, the resumptions due at its start and the behaviors
+spawned between instants, sorted by the unique spawn id; then, in the order
+they happen, the awaiters woken and the behaviors spawned during the instant.
 """
 
 from __future__ import annotations
@@ -127,7 +125,6 @@ COOPERATE = _Cooperate()
 class InstantReport:
     instant: int
     alive: int  # started, not yet finished (a world's cells from their first trigger on)
-    terminated: int
     generated: int
     steps: int  # micro-steps: behavior resumptions in this instant
 
@@ -141,16 +138,15 @@ class Scheduler:
         self.microstep_budget = microstep_budget
         self.clock = 0
         self._active = False  # in the active phase of an instant
-        # (bid, gen, value) entries to run in this instant, and at the next start
+        # (bid, gen, value) entries to run in this instant, and the start list
         self._run: list[tuple[int, Behavior, Any]] = []
         self._resume: list[tuple[int, Behavior, Any]] = []
-        self._pending_spawns: list[tuple[int, Behavior, None]] = []
         self._collectors: list[tuple[int, Behavior, Event]] = []  # resume with values
         self._touched: list[Event] = []
-        self._next_bid = 0
+        # one byte per spawn id given out: 0 fresh, 1 reserved and free, 2 held
+        self._ids = bytearray()
         self._next_eid = 0
         self.alive = 0
-        self.terminated = 0
 
     def new_event(self) -> Event:
         e = Event(self._next_eid)
@@ -158,19 +154,24 @@ class Scheduler:
         return e
 
     def reserve(self, n: int) -> range:
-        """Set aside ``n`` consecutive spawn ids, for ``spawn(gen, bid)`` only."""
-        self._next_bid += n
-        return range(self._next_bid - n, self._next_bid)
+        """Set aside ``n`` consecutive spawn ids for ``spawn(gen, bid)``; each is
+        free again once the behavior spawned under it finishes."""
+        first = len(self._ids)
+        self._ids.extend(b"\1" * n)
+        return range(first, first + n)
 
     def spawn(self, gen: Behavior, bid: Optional[int] = None) -> int:
-        """Queue a behavior; it takes its first step next instant, or, with a
-        ``bid`` from ``reserve`` (used once), last in the running instant if any."""
+        """Start a behavior, later in the running instant if any (queued like a
+        wake-up), else in the start list; ``bid`` picks a reserved id not held."""
+        ids = self._ids
         if bid is None:
-            bid = self._next_bid
-            self._next_bid += 1
-            self._pending_spawns.append((bid, gen, None))
+            bid = len(ids)
+            ids.append(0)
+        elif 0 <= bid < len(ids) and ids[bid] == 1:
+            ids[bid] = 2
         else:
-            (self._run if self._active else self._resume).append((bid, gen, None))
+            raise KernelError(f"spawn id {bid} is not a reserved id free for use")
+        (self._run if self._active else self._resume).append((bid, gen, None))
         self.alive += 1
         return bid
 
@@ -204,10 +205,8 @@ class Scheduler:
 
         run = self._resume
         run.sort()
-        run += self._pending_spawns
         self._run = run
         self._resume = resume = []
-        self._pending_spawns = []
         collectors = self._collectors
 
         steps = 0
@@ -222,7 +221,8 @@ class Scheduler:
                     cmd = gen.send(value)
                 except StopIteration:
                     self.alive -= 1
-                    self.terminated += 1
+                    if self._ids[bid]:  # a reserved id is free again
+                        self._ids[bid] = 1
                     break
                 if cmd is COOPERATE:
                     resume.append((bid, gen, None))
@@ -261,7 +261,7 @@ class Scheduler:
         self._touched = []
 
         self.clock = instant + 1
-        return InstantReport(instant, self.alive, self.terminated, generated, steps)
+        return InstantReport(instant, self.alive, generated, steps)
 
     def is_quiet(self) -> bool:
         """True when nothing can ever run again without external input.
@@ -269,4 +269,4 @@ class Scheduler:
         Behaviors parked on never-generated events do not count: only a
         runnable behavior could wake them, and there is none.
         """
-        return not (self._resume or self._pending_spawns)
+        return not self._resume

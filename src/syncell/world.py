@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from enum import Enum
 from typing import Optional
 
-from .kernel import DEFAULT_MICROSTEP_BUDGET, AwaitCollect, Collect, Event, Scheduler
+from .kernel import AwaitCollect, Collect, Event, Scheduler
 from .stats import RunStats
 
 
@@ -175,10 +175,9 @@ class World:
         height: int,
         seed: int = 0,
         base: int = 6,
-        microstep_budget: int = DEFAULT_MICROSTEP_BUDGET,
         walls: Optional[bytes] = None,
     ):
-        self.sched = Scheduler(microstep_budget)
+        self.sched = Scheduler()
         self.cell_ids = self.sched.reserve(width * height)
         self.grid = Grid(width, height, self.sched, walls)
         self.rng = random.Random(seed)

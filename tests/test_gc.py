@@ -60,7 +60,8 @@ def ticker():
 
 
 def diverging_world():
-    w = World(5, 5, microstep_budget=50)
+    w = World(5, 5)
+    w.sched.microstep_budget = 50
     e = w.sched.new_event()
 
     def spinner():

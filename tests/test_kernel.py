@@ -1,7 +1,7 @@
 """Scheduler semantics: instants, broadcast, collection, determinism."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syncell.kernel import (
     Await,
@@ -13,6 +13,8 @@ from syncell.kernel import (
     PhaseError,
     Scheduler,
 )
+
+from reference_scheduler import ReferenceScheduler
 
 
 def drive(sched, instants):
@@ -302,7 +304,7 @@ def test_cooperate_never_blocks_the_rest_of_the_instant():
     assert log == [0, 1]
 
 
-def test_spawn_starts_next_instant_in_order():
+def test_spawns_in_an_instant_start_in_it_in_spawn_order():
     s = Scheduler()
     log = []
 
@@ -317,10 +319,10 @@ def test_spawn_starts_next_instant_in_order():
 
     s.spawn(parent())
     drive(s, 2)
-    assert log == [("a", 1), ("b", 1)]
+    assert log == [("a", 0), ("b", 0)]
 
 
-def test_spawn_rule_composes_for_grandchildren():
+def test_children_and_grandchildren_spawned_in_an_instant_start_in_it():
     s = Scheduler()
     log = []
 
@@ -339,13 +341,13 @@ def test_spawn_rule_composes_for_grandchildren():
 
     s.spawn(parent())
     drive(s, 3)
-    assert log == [("child", 1), ("grandchild", 2)]
+    assert log == [("child", 0), ("grandchild", 0)]
 
 
 # -- reserved spawn ids -------------------------------------------------------------
 
 
-def test_reserved_spawn_in_an_instant_steps_in_it_after_everything_runnable():
+def test_plain_and_reserved_spawns_in_an_instant_are_queued_like_wake_ups():
     s = Scheduler()
     ids = s.reserve(2)
     e = s.new_event()
@@ -369,12 +371,10 @@ def test_reserved_spawn_in_an_instant_steps_in_it_after_everything_runnable():
     s.spawn(waiter())
     s.spawn(parent())
     report = s.run_instant()
-    # the start is queued like a wake-up: after the spawner's step, before the
-    # awaiter its generate woke later; a plain spawn waits for the next instant
-    assert log == [("parent", 0), ("reserved", 0), ("woken", 0)]
-    assert report.steps == 4 and report.alive == 3
-    s.run_instant()
-    assert log[3:] == [("plain", 1)]
+    # each start is queued like a wake-up: after the spawner's step, before the
+    # awaiter its generate woke later; the reserved id changes nothing of that
+    assert log == [("parent", 0), ("reserved", 0), ("plain", 0), ("woken", 0)]
+    assert report.steps == 5 and report.alive == 3
 
 
 def test_reserved_behaviors_resume_in_id_order_not_start_order():
@@ -434,6 +434,50 @@ def test_reserved_spawn_between_instants_starts_next_instant_in_id_order():
     assert log == [("reserved", 0), ("plain", 0)]
 
 
+def test_spawn_rejects_an_id_reserve_never_gave_out_or_a_live_behavior_holds():
+    def b():
+        yield COOPERATE
+
+    s = Scheduler()
+    for bid in (0, 0, 5):  # nothing reserved yet
+        with pytest.raises(KernelError):
+            s.spawn(b(), bid)
+    assert s.alive == 0 and s.is_quiet()
+    s.reserve(6)
+    assert s.spawn(b(), 0) == 0
+    with pytest.raises(KernelError):
+        s.spawn(b(), 0)  # held by the live behavior
+    assert s.spawn(b(), 5) == 5
+    plain = s.spawn(b())
+    for bid in (plain, 6, -1):  # a plain spawn's id, one past the last, negative
+        with pytest.raises(KernelError):
+            s.spawn(b(), bid)
+    assert s.alive == 3
+    assert s.run_instant().steps == 3
+
+
+def test_a_reserved_id_is_free_again_once_its_behavior_finishes():
+    s = Scheduler()
+    [bid] = s.reserve(1)
+    log = []
+
+    def once(name):
+        log.append((name, s.clock))
+        yield COOPERATE
+
+    def restarter():  # a higher id: in instant 1 it runs after "first" finishes
+        yield COOPERATE
+        s.spawn(once("second"), bid)
+
+    s.spawn(once("first"), bid)
+    s.spawn(restarter())
+    s.run_instant()
+    with pytest.raises(KernelError):
+        s.spawn(once("early"), bid)  # still held
+    drive(s, 2)
+    assert log == [("first", 0), ("second", 1)]
+
+
 def test_empty_scheduler_instant_report():
     s = Scheduler()
     report = s.run_instant()
@@ -479,7 +523,7 @@ def test_cooperate_loop_runs_one_step_per_instant_forever():
     s.spawn(b())
     reports = drive(s, 10)
     assert ticks == list(range(10))
-    assert all(r.alive == 1 and r.terminated == 0 for r in reports)
+    assert all(r.alive == 1 for r in reports)
 
 
 def test_same_instant_self_wake_loop_hits_divergence_budget():
@@ -535,19 +579,23 @@ def test_terminated_behavior_never_runs_again():
             yield
 
     s.spawn(once())
-    drive(s, 3)
+    assert s.alive == 1
+    reports = drive(s, 3)
     assert runs == [0]
-    assert s.terminated == 1 and s.alive == 0
+    assert [r.alive for r in reports] == [0, 0, 0]
+    assert s.is_quiet()
 
 
 # -- randomized semantics -------------------------------------------------------
 
 
-def _interp(sched, events, script, trace, label, split=False):
+def _interp(sched, events, script, trace, label, split=False, pool=None, held=None):
     """Run a list of ops, recording every resumption with its instant.
 
-    ``split`` runs each await_collect op as an Await then a Collect."""
-    for op in script:
+    ``split`` runs each await_collect op as an Await then a Collect. ``pool``
+    lists the reserved spawn ids that no behavior holds: a reserved spawn takes
+    one out, and the behavior spawned under ``held`` puts it back as it ends."""
+    for k, op in enumerate(script):
         tag = op[0]
         if tag == "gen":
             sched.generate(events[op[1]], op[2])
@@ -565,9 +613,36 @@ def _interp(sched, events, script, trace, label, split=False):
             else:
                 values = yield AwaitCollect(events[op[1]])
             trace.append((label, "await_collect", op[1], tuple(values), sched.clock))
+        elif tag == "reserve":
+            pool.extend(sched.reserve(op[1]))
+            trace.append((label, "reserve", op[1], sched.clock))
+        elif tag == "alive":
+            trace.append((label, "alive", sched.alive, sched.clock))
+        elif tag in ("spawn", "spawn_reserved", "spawn_id"):
+            child = f"{label}.{k}"
+            if tag == "spawn":
+                bid = None
+            elif tag == "spawn_reserved":  # the op[2]-th free reserved id
+                if not pool:
+                    pool.extend(sched.reserve(1))
+                bid = pool[op[2] % len(pool)]
+            else:  # any id: one no reserve gave out, or one a live behavior holds
+                bid = op[2]
+            gen = _interp(sched, events, op[1], trace, child, split, pool, bid)
+            try:
+                got = sched.spawn(gen, bid)
+            except KernelError:
+                trace.append((label, "rejected", bid, sched.clock))
+                continue
+            if bid is not None:
+                pool.remove(bid)
+            trace.append((label, tag, child, got, sched.clock))
         else:
             yield COOPERATE
             trace.append((label, "coop", sched.clock))
+    if held is not None:
+        pool.append(held)
+    trace.append((label, "end", sched.clock))
 
 
 _ops = st.one_of(
@@ -576,16 +651,34 @@ _ops = st.one_of(
     st.tuples(st.just("collect"), st.integers(0, 2)),
     st.tuples(st.just("await_collect"), st.integers(0, 2)),
     st.tuples(st.just("coop")),
+    st.tuples(st.just("reserve"), st.integers(1, 3)),
+    st.tuples(st.just("alive")),
 )
-_programs = st.lists(st.lists(_ops, max_size=8), min_size=1, max_size=5)
+
+
+def _spawn_ops(scripts):
+    return st.one_of(
+        st.tuples(st.just("spawn"), scripts),
+        st.tuples(st.just("spawn_reserved"), scripts, st.integers(0, 3)),
+        st.tuples(st.just("spawn_id"), scripts, st.integers(-1, 9)),
+    )
+
+
+# scripts spawn scripts, nested a few levels deep
+_scripts = st.recursive(
+    st.lists(_ops, max_size=8),
+    lambda scripts: st.lists(st.one_of(_ops, _spawn_ops(scripts)), max_size=8),
+    max_leaves=12,
+)
+_programs = st.lists(_scripts, min_size=1, max_size=5)
 
 
 def _run_program(program, instants=30, split=False):
     sched = Scheduler(microstep_budget=10_000)
     events = [sched.new_event() for _ in range(3)]
-    trace = []
+    trace, pool = [], []
     for i, script in enumerate(program):
-        sched.spawn(_interp(sched, events, script, trace, i, split))
+        sched.spawn(_interp(sched, events, script, trace, i, split, pool))
     for _ in range(instants):
         sched.run_instant()
         if sched.is_quiet():
@@ -603,6 +696,53 @@ def test_property_identical_programs_give_identical_traces(program):
 @given(_programs)
 def test_property_await_collect_is_await_then_collect(program):
     assert _run_program(program) == _run_program(program, split=True)
+
+
+# -- the kernel against the reference scheduler ------------------------------------
+
+# a gap, what the driver does between two instants, holds only ops that never
+# suspend: plain, reserved and any-id spawns, reserve and alive
+_gap_ops = st.one_of(
+    st.tuples(st.just("reserve"), st.integers(1, 3)),
+    st.tuples(st.just("alive")),
+    _spawn_ops(_scripts),
+)
+_gaps = st.lists(st.lists(_gap_ops, max_size=4), min_size=1, max_size=4)
+_budgets = st.one_of(st.integers(1, 60), st.just(10_000))
+
+
+def _run_gaps(sched, gaps, instants=30):
+    """Trace a run: every op, each instant's report, ``is_quiet`` and
+    ``alive`` before each instant, and where the micro-step budget ran out."""
+    events = [sched.new_event() for _ in range(3)]
+    trace, pool = [], []
+    for clock in range(instants):
+        if clock < len(gaps):
+            assert list(_interp(sched, events, gaps[clock], trace, f"g{clock}", pool=pool)) == []
+        quiet = sched.is_quiet()
+        trace.append(("before", clock, quiet, sched.alive))
+        if quiet and clock >= len(gaps):
+            break
+        try:
+            report = sched.run_instant()
+        except DivergenceError as err:
+            trace.append(("diverged", err.instant, err.budget))
+            break
+        trace.append(report)
+    return trace
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_gaps, _budgets)
+# ids 0 and 1 reserved before the plain spawn 2, whose child 1 parks on event 2
+# after it: one generate must still wake them in id order
+@example(
+    [[("reserve", 2), ("spawn", [("spawn_reserved", [("await", 2)], 0), ("await", 2)]),
+      ("spawn_reserved", [("collect", 0), ("gen", 2, 0)], 0)]],
+    10_000,
+)
+def test_property_scheduler_agrees_with_the_reference_scheduler(gaps, budget):
+    assert _run_gaps(Scheduler(budget), gaps) == _run_gaps(ReferenceScheduler(budget), gaps)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -686,7 +826,7 @@ def test_property_buffers_are_reset_at_every_instant_boundary(gens):
             assert e.present is False and e.values == []
 
 
-def test_instant_start_admits_resumed_and_spawned_behaviors_in_spawn_id_order():
+def test_instant_start_admits_resumptions_and_between_instant_spawns_in_id_order():
     s = Scheduler()
     e = s.new_event()
     order = []
@@ -699,7 +839,7 @@ def test_instant_start_admits_resumed_and_spawned_behaviors_in_spawn_id_order():
         yield COOPERATE
         order.append("cooperator")
 
-    def spawner():  # bid 2: spawns bid 3 during instant 0
+    def spawner():  # bid 2: spawns bid 3, which starts in instant 0
         s.spawn(child())
         yield Await(s.new_event())
 
@@ -716,4 +856,4 @@ def test_instant_start_admits_resumed_and_spawned_behaviors_in_spawn_id_order():
     s.run_instant()
     s.spawn(late())
     s.run_instant()
-    assert order == ["collector", "cooperator", "child", "late"]
+    assert order == ["child", "collector", "cooperator", "late"]
