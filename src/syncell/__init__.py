@@ -4,8 +4,8 @@ Virtual particles evolve deterministically as wavefronts of a cellular
 automaton whose cells are cooperating behaviors over global instants;
 a measurement broadcast collapses a wavefront to one uniformly chosen
 cell, which becomes a bouncing real particle. Entangled emission pairs
-share the measurement event and the outcome holder, so measuring one
-collapses both, to the same state, in the same instant.
+share the measurement event, which also carries the outcome, so measuring
+one collapses both, to the same state, in the same instant.
 """
 
 from .kernel import (
@@ -25,7 +25,6 @@ from .world import (
     CellKind,
     DOWN,
     Grid,
-    Holder,
     MeasurementContext,
     UP,
     World,
@@ -57,7 +56,6 @@ __all__ = [
     "Event",
     "FrameBuffer",
     "Grid",
-    "Holder",
     "InstantReport",
     "KernelError",
     "MeasurementContext",

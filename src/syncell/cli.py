@@ -15,6 +15,7 @@ from .scenario import (
     ScenarioSpec,
     load_scenario,
     parse_scenario,
+    read_scenario,
     run_scenario,
     run_world,  # noqa: F401  (perfbench looks it up on this module)
 )
@@ -167,10 +168,8 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
         else:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
-                text = fh.read()
             rows = compare_slits(
-                text,
+                read_scenario(args.scenario),
                 close_index=args.close,
                 seed=args.seed,
                 instants=args.instants,

@@ -3,11 +3,10 @@
 A detector broadcasts the measurement event of the first superposition it
 sees; every member cell reacts by running ``reduce`` inside its own cycle.
 The members roll-call their identities on the context's signal event; the
-first member to report collects the roll-call and draws one identity
-uniformly, and only the elected cell turns into a real particle. The whole
-protocol takes a fixed five instants from the measurement broadcast to the
-last member reset, which is what makes "the collapse is instantaneous" a
-checkable claim.
+first to report draws one uniformly. The elected cell becomes a real
+particle and broadcasts its state on the measurement event, which an
+entangled twin shares. The five instants from the measurement broadcast to
+the last member reset make "the collapse is instantaneous" checkable.
 """
 
 from __future__ import annotations
@@ -68,25 +67,17 @@ def detector_behavior(world: World):
         yield COOPERATE  # an Await now would find this instant's contacts again
 
 
-def set_chosen_state(c: Cell) -> None:
-    """Publish this cell's basic state as the outcome, unless one exists.
-
-    The guard is the whole entanglement mechanism: the second context
-    sharing the holder reads what the first wrote instead of writing.
-    """
-    holder = c.ctx.chosen_state
-    if holder.value == -1:
-        holder.value = c.basic_state
-
-
 def reduce(world: World, c: Cell):
     """One member cell's part of the collapse, run inside the cell's cycle.
 
     Two instants after the measurement the member reports its identity on
     the roll-call; the first member to report (in spawn-id order) collects
-    the roll-call and, unless a choice exists, elects one identity. Two
-    instants later the elected member publishes the outcome state and
-    launches the real particle; the cell resets when this returns.
+    the roll-call and, unless a choice exists, elects one identity. At
+    T = t+5 (measured at t) the elected member takes the outcome its twin's
+    broadcast on the measurement event, else broadcasts its own basic state,
+    launches the real particle, and the cell resets. Nothing else reads the
+    event at T: the pair's cells collect it only at t's parity, and elected
+    members resume from the start list, before any detector.
     """
     sched = world.sched
     ctx = c.ctx
@@ -103,8 +94,11 @@ def reduce(world: World, c: Cell):
         yield COOPERATE
     yield COOPERATE
     if ctx.chosen == me:
-        set_chosen_state(c)
-        state = ctx.chosen_state.value
+        if ctx.measure.values:  # the twin's elected member ran first
+            state = ctx.measure.values[0]
+        else:
+            state = c.basic_state
+            sched.generate(ctx.measure, state)
         if ctx.spawn_velocity is not None:
             vx, vy = ctx.spawn_velocity
         else:

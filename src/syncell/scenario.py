@@ -63,7 +63,6 @@ from .world import (
     Cell,
     CellKind,
     DOWN,
-    Holder,
     MeasurementContext,
     UP,
     World,
@@ -236,10 +235,19 @@ def parse_scenario(text: str) -> ScenarioSpec:
     )
 
 
+def read_scenario(path) -> str:
+    """A scenario file's text; a byte that is not UTF-8 is a ScenarioError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
 def load_scenario(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_scenario(text)
+    return parse_scenario(read_scenario(path))
 
 
 # -- emission -----------------------------------------------------------------
@@ -251,22 +259,19 @@ def fire(
     state: int,
     direction: CellKind,
     measure: Event,
-    chosen_state: Holder,
     spawn_velocity: Optional[tuple] = None,
 ) -> MeasurementContext:
     """Inject one emission into a cell, under a fresh signal and election.
 
-    The measurement event and the outcome holder are the caller's: a
-    standard source passes fresh ones per shot, an entangled source passes
-    the pair shared by both beams. ``spawn_velocity`` optionally overrides
-    the axis-aligned velocity of the particle this emission may end in.
+    The measurement event is the caller's: fresh per shot from a standard
+    source, shared by both beams of an entangled one, where it also carries
+    the pair's outcome. ``spawn_velocity`` optionally overrides the
+    axis-aligned velocity of the particle this emission may end in.
     A wall has no cell: firing into one (``cell`` None) raises ScenarioError.
     """
     if cell is None:
         raise ScenarioError("cannot fire into a wall")
-    ctx = world.new_context(
-        measure=measure, chosen_state=chosen_state, spawn_velocity=spawn_velocity
-    )
+    ctx = world.new_context(measure=measure, spawn_velocity=spawn_velocity)
     if cell.kind is None:
         start_cell(world, cell, direction)
     world.sched.generate(cell.trigger, (direction, state % world.base, ctx))
@@ -282,11 +287,11 @@ def _beam_directions(spec: SourceSpec) -> tuple[CellKind, ...]:
 def emitter(world: World, spec: SourceSpec):
     """Fire the source's beams ``shots`` times, ``period`` instants apart.
 
-    The beams of one shot share a fresh measurement event and outcome
-    holder. With a velocity override, a missing ``vx`` is 0 and a missing
-    ``vy`` is the beam's own direction; a given ``vy`` is the first beam's,
-    mirrored for the back beam. The emitter ends ``period`` instants after
-    its last shot.
+    The beams of one shot share a fresh measurement event, so they collapse
+    together, to one outcome. With a velocity override, a missing ``vx`` is
+    0 and a missing ``vy`` is the beam's own direction; a given ``vy`` is
+    the first beam's, mirrored for the back beam. The emitter ends
+    ``period`` instants after its last shot.
     """
     beams = []
     for direction in _beam_directions(spec):
@@ -302,9 +307,9 @@ def emitter(world: World, spec: SourceSpec):
         beams.append((cell, direction, velocity))
     sched = world.sched
     for _ in range(spec.shots):
-        measure, outcome = sched.new_event(), Holder(-1)
+        measure = sched.new_event()
         for cell, direction, velocity in beams:
-            fire(world, cell, spec.state, direction, measure, outcome, velocity)
+            fire(world, cell, spec.state, direction, measure, velocity)
         for _ in range(spec.period):
             yield COOPERATE
 

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Optional
 
 from .kernel import AwaitCollect, Collect, Event, Scheduler
+from .particles import particle_stepper
 from .stats import RunStats
 
 
@@ -51,31 +52,15 @@ def collector_paused():
             gc.enable()
 
 
-class Holder:
-    """A shared mutable slot, -1 meaning not yet assigned.
-
-    Two measurement contexts may point at the same holder; that sharing is
-    what ties an entangled pair to a single state choice.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = -1):
-        self.value = value
-
-    def __repr__(self):
-        return f"Holder({self.value})"
-
-
 class MeasurementContext:
     """Everything that binds one superposition to one measurement.
 
     ``measure`` is the broadcast event a detector fires; ``signal`` is the
     roll-call event on which member cells report their identities during
-    reduction; ``chosen`` is the elected cell id (-1 until the draw) and
-    ``chosen_state`` holds the elected basic state. ``measure`` and
-    ``chosen_state`` may be shared with a twin context (entanglement);
-    ``signal`` never is. ``collect_measure`` is the one ``Collect(measure)``
+    reduction; ``chosen`` is the elected cell id (-1 until the draw).
+    ``measure`` may be shared with a twin context (entanglement), and then
+    also carries the pair's outcome state (``measure.reduce``); ``signal``
+    never is shared. ``collect_measure`` is the one ``Collect(measure)``
     that every member cell yields. The member cells are the entries of
     ``World.visible`` registered with this context; it records nothing they do.
     """
@@ -85,7 +70,6 @@ class MeasurementContext:
         "collect_measure",
         "signal",
         "chosen",
-        "chosen_state",
         "serial",
         "spawn_velocity",
     )
@@ -94,7 +78,6 @@ class MeasurementContext:
         self,
         measure: Event,
         signal: Event,
-        chosen_state: Holder,
         serial: int,
         spawn_velocity: Optional[tuple] = None,
     ):
@@ -102,7 +85,6 @@ class MeasurementContext:
         self.collect_measure = Collect(measure)
         self.signal = signal
         self.chosen = -1
-        self.chosen_state = chosen_state
         self.serial = serial
         self.spawn_velocity = spawn_velocity
 
@@ -200,14 +182,12 @@ class World:
     def new_context(
         self,
         measure: Optional[Event] = None,
-        chosen_state: Optional[Holder] = None,
         spawn_velocity: Optional[tuple] = None,
     ) -> MeasurementContext:
-        """Fresh context; pass measure / chosen_state to share them."""
+        """Fresh context; pass ``measure`` to share it with a twin."""
         ctx = MeasurementContext(
             measure if measure is not None else self.sched.new_event(),
             self.sched.new_event(),
-            chosen_state if chosen_state is not None else Holder(-1),
             self._ctx_serial,
             spawn_velocity,
         )
@@ -217,8 +197,6 @@ class World:
     def add_particle(self, p) -> None:
         """Register a particle, to move from the next instant to start on; the
         stepper is spawned on the first birth, so particle-free worlds go quiet."""
-        from .particles import particle_stepper
-
         sched = self.sched
         if not self.particles:
             sched.spawn(particle_stepper(self))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from syncell import COOPERATE, FrameBuffer, Holder, UP, World
+from syncell import COOPERATE, FrameBuffer, UP, World
 from syncell.cli import main
 from syncell.kernel import Await, Collect, Scheduler
 from syncell.measure import REDUCE_WINDOW
@@ -30,6 +30,7 @@ from syncell.scenario import (
 from syncell.stats import RunReport
 
 from instant_log import InstantLog, assert_collapses
+from test_world import oracle_rows
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -157,20 +158,6 @@ def test_criterion_1_kernel_semantics():
 # -- criterion 2: CA oracle equivalence over 50 generations ----------------------
 
 
-def oracle_rows(fired_state, generations, base=6):
-    row = {0: (fired_state + 1) % base}
-    rows = [dict(row)]
-    for _ in range(generations):
-        nxt = {}
-        for x in range(min(row) - 1, max(row) + 2):
-            contrib = [row[x + d] for d in (-1, 0, 1) if x + d in row]
-            if contrib:
-                nxt[x] = (sum(contrib) + 1) % base
-        row = nxt
-        rows.append(dict(row))
-    return rows
-
-
 def test_criterion_2_oracle_equivalence():
     t0 = time.monotonic()
     rows = oracle_rows(0, 50)
@@ -180,7 +167,7 @@ def test_criterion_2_oracle_equivalence():
     src_x, src_y = 55, 52
 
     def igniter():
-        fire(w, w.grid.cell(src_x, src_y), 0, UP, w.sched.new_event(), Holder(-1))
+        fire(w, w.grid.cell(src_x, src_y), 0, UP, w.sched.new_event())
         yield COOPERATE
 
     w.sched.spawn(igniter())

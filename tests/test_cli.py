@@ -163,6 +163,15 @@ def test_missing_file_and_parse_error_exit_2(tmp_path, capsys):
     assert "scenario error" in err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_undecodable_file_exits_2_naming_its_line(tmp_path, command):
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes(b"[grid]\nwidth=9\xff\nheight=9\n")
+    done = python("-m", "syncell.cli", command, "--scenario", str(scn))
+    assert done.returncode == EXIT_SCENARIO
+    assert done.stderr == "scenario error: line 2: byte 0xff is not UTF-8\n"
+
+
 def test_many_full_grid_walls_exit_2_in_bounded_time(tmp_path, capsys):
     # 103 full 198x198 interiors cross 4 x MAX_CELLS cells: the build stops
     # at wall #102 instead of visiting all 2,000

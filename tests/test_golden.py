@@ -16,9 +16,9 @@ from hypothesis import given, settings
 
 from syncell import UP, build_world, load_scenario, parse_scenario
 from syncell.scenario import ScenarioSpec, SourceSpec, run_world
-from syncell.world import cell_behavior
+from syncell.world import start_cell
 
-from test_measure import _horizon, _measured_worlds
+from test_measure import _horizon, _measured_worlds, cells_of
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -219,14 +219,12 @@ def test_per_instant_evolution_is_pinned(case):
 
 
 def start_every_cell(world):
-    """Start every non-wall cell before instant 0, under its reserved id, with
-    ``kind`` set so that no trigger starts it again: each cell then takes its
+    """Start every non-wall cell before instant 0 (``start_cell``, which sets
+    ``kind`` so that no trigger starts it again): each cell then takes its
     first step in instant 0, as when ``build_world`` started them all."""
-    grid = world.grid
-    for c in (grid.cell(x, y) for y in range(grid.height) for x in range(grid.width)):
-        if c is not None and c.kind is None:
-            c.kind = UP
-            world.sched.spawn(cell_behavior(world, c), world.cell_ids[world.grid.linear(c.x, c.y)])
+    for c in cells_of(world.grid):
+        if c.kind is None:
+            start_cell(world, c, UP)
 
 
 @pytest.mark.parametrize("case", sorted(TRACE_CASES))

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from syncell import COOPERATE, DOWN, Holder, UP, World, load_scenario, measure
-from syncell.measure import REDUCE_WINDOW, choose, set_chosen_state
+from syncell import AwaitCollect, COOPERATE, DOWN, UP, World, load_scenario, measure
+from syncell.measure import REDUCE_WINDOW, choose
 from syncell.scenario import (
     DetectorNotReachedError,
     DetectorSpec,
@@ -63,31 +63,44 @@ def test_choose_is_close_to_uniform():
         assert abs(counts[i] / n - 0.25) < 0.01
 
 
-def test_set_chosen_state_writes_once():
+def reduce_elected(states):
+    """Run ``reduce`` for one pre-elected member per given basic state, each
+    in its own context, all under one measure event and dispatched in the
+    given order. Returns the launched particles' states and the values
+    broadcast on the event, by instant; ``reduce`` starts in instant 0, the
+    one after the measurement it reacts to."""
     w = World(9, 9)
-    c = w.grid.cell(4, 4)
-    c.ctx = w.new_context()
-    c.basic_state = 4
-    set_chosen_state(c)
-    assert c.ctx.chosen_state.value == 4
-    c.basic_state = 2
-    set_chosen_state(c)
-    assert c.ctx.chosen_state.value == 4  # second write is ignored
+    event = w.sched.new_event()
+    broadcasts = {}
+
+    def listener():
+        while True:
+            values = yield AwaitCollect(event)
+            broadcasts[w.sched.clock - 1] = values
+
+    for i, state in enumerate(states):
+        c = w.grid.cell(2 + 2 * i, 4)
+        c.kind, c.basic_state = UP, state
+        c.ctx = w.new_context(measure=event)
+        c.ctx.chosen = w.grid.linear(c.x, c.y)
+        w.sched.spawn(measure.reduce(w, c))
+    w.sched.spawn(listener())
+    w.run(REDUCE_WINDOW + 1)
+    return [p.state for p in w.particles], broadcasts
 
 
-def test_shared_holder_carries_the_state_across_contexts():
-    w = World(9, 9)
-    shared = Holder(-1)
-    a = w.grid.cell(3, 3)
-    b = w.grid.cell(5, 5)
-    a.ctx = w.new_context(chosen_state=shared)
-    b.ctx = w.new_context(chosen_state=shared)
-    a.basic_state = 5
-    set_chosen_state(a)
-    b.basic_state = 1
-    set_chosen_state(b)
-    assert a.ctx.chosen_state.value == 5
-    assert b.ctx.chosen_state.value == 5
+@pytest.mark.parametrize("states", [(5, 1), (1, 5), (2, 2)])
+def test_twin_contexts_take_the_first_elected_members_state(states):
+    particles, broadcasts = reduce_elected(states)
+    first = states[0]
+    assert particles == [first, first]
+    assert broadcasts == {REDUCE_WINDOW - 1: [first]}  # one broadcast, by the first
+
+
+def test_a_lone_context_broadcasts_its_own_state():
+    particles, broadcasts = reduce_elected((4,))
+    assert particles == [4]
+    assert broadcasts == {REDUCE_WINDOW - 1: [4]}
 
 
 def single_shot_world(**kwargs):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syncell import COOPERATE, DOWN, Holder, UP, World
+from syncell import COOPERATE, DOWN, UP, World
 from syncell import scenario
 from syncell.scenario import (
     DetectorSpec,
@@ -25,13 +25,9 @@ from syncell.scenario import (
     run_world,
 )
 
+from test_measure import cells_of
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-
-
-def cells_of(grid):
-    """Every cell of the grid in row-major order; a wall has none."""
-    sites = (grid.cell(x, y) for y in range(grid.height) for x in range(grid.width))
-    return [c for c in sites if c is not None]
 
 
 GOOD = """\
@@ -507,6 +503,21 @@ def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
     run_world(world, 40)
 
 
+@pytest.mark.parametrize(
+    "data,fragment",
+    [
+        (b"\xff[grid]\n", "line 1: byte 0xff"),
+        ("# café\r\n[grid]\r\nwidth=9".encode() + b"\xe9\n", "line 3: byte 0xe9"),  # Latin-1
+        (b"[grid]\n\nwidth=9\nheight=9\n# \xc3", "line 5: byte 0xc3"),  # cut short
+    ],
+)
+def test_load_scenario_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path, data, fragment):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError, match=f"^{fragment} is not UTF-8$"):
+        load_scenario(path)
+
+
 # -- firing contracts -------------------------------------------------------------
 
 
@@ -520,9 +531,7 @@ def test_standard_fire_builds_an_entirely_fresh_context():
 
     def igniter():
         for _ in range(2):
-            ctx = fire(
-                w, w.grid.cell(10, 18), 0, UP, w.sched.new_event(), Holder(-1)
-            )
+            ctx = fire(w, w.grid.cell(10, 18), 0, UP, w.sched.new_event())
             seen.append(ctx)
             yield COOPERATE
 
@@ -535,10 +544,9 @@ def test_standard_fire_builds_an_entirely_fresh_context():
     assert a.chosen == b.chosen == -1
     a.chosen = 7
     assert b.chosen == -1  # each context has its own choice
-    assert a.chosen_state is not b.chosen_state
 
 
-def test_entangled_fires_share_exactly_measure_and_outcome():
+def test_entangled_fires_share_exactly_measure():
     w = manual_world()
     w.sched.spawn(emitter(w, SourceSpec(x=10, y=10, direction=UP, entangled=True)))
     w.sched.run_instant()
@@ -549,7 +557,6 @@ def test_entangled_fires_share_exactly_measure_and_outcome():
     a, b = up_cell.ctx, down_cell.ctx
     assert a is not b
     assert a.measure is b.measure
-    assert a.chosen_state is b.chosen_state
     assert a.signal is not b.signal
     assert a.chosen == b.chosen == -1
     a.chosen = 7
@@ -562,7 +569,7 @@ def test_fire_into_a_wall_is_a_scenario_error():
     w = build_world(spec)
     for x, y in ((0, 7), (4, 5)):  # the border ring, then the wall
         with pytest.raises(ScenarioError, match="cannot fire into a wall"):
-            fire(w, w.grid.cell(x, y), 0, UP, w.sched.new_event(), Holder(-1))
+            fire(w, w.grid.cell(x, y), 0, UP, w.sched.new_event())
     assert w.sched.alive == 0 and not w.visible
 
 
@@ -627,9 +634,9 @@ def test_entangled_back_beam_with_only_vx_keeps_its_own_direction():
 def test_entangled_back_beam_mirrors_a_given_vy(monkeypatch):
     velocities = []
 
-    def recording_fire(world, cell, state, direction, measure, outcome, velocity):
+    def recording_fire(world, cell, state, direction, measure, velocity):
         velocities.append((direction, velocity))
-        return fire(world, cell, state, direction, measure, outcome, velocity)
+        return fire(world, cell, state, direction, measure, velocity)
 
     monkeypatch.setattr(scenario, "fire", recording_fire)
     w = manual_world()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from syncell import COOPERATE, DOWN, Holder, UP, World
+from syncell import COOPERATE, DOWN, UP, World
 from syncell.kernel import Await
 from syncell.scenario import fire
 from syncell.world import awake_neighbourhood, cell_behavior, cell_reset
@@ -14,7 +14,7 @@ def open_world(width=31, height=31, seed=0):
 
 def fire_once(w, x, y, state=0, direction=UP):
     def igniter():
-        fire(w, w.grid.cell(x, y), state, direction, w.sched.new_event(), Holder(-1))
+        fire(w, w.grid.cell(x, y), state, direction, w.sched.new_event())
         yield COOPERATE
 
     w.sched.spawn(igniter())
@@ -100,7 +100,7 @@ def test_fire_hands_a_plain_tuple_to_its_cell():
     seen = {}
 
     def act():
-        seen["ctx"] = fire(w, c, 5, UP, w.sched.new_event(), Holder(-1))
+        seen["ctx"] = fire(w, c, 5, UP, w.sched.new_event())
         seen["values"] = list(c.trigger.values)
 
     in_active_phase(w, act)
@@ -324,7 +324,7 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
     w.sched.run_instant()  # the cell and the spy park on their triggers
 
     def igniter():  # one step, in which it fires the cell
-        fire(w, c, 3, UP, w.sched.new_event(), Holder(-1))
+        fire(w, c, 3, UP, w.sched.new_event())
         if False:
             yield
 
