@@ -147,6 +147,8 @@ def main(argv=None) -> int:
         parser.error(f"--instants must be at least 0, got {args.instants}")
     if args.command == "compare" and args.runs < 1:
         parser.error(f"--runs must be at least 1, got {args.runs}")
+    if args.command == "compare" and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         if args.command == "run":
             spec = load_scenario(args.scenario)

@@ -2,11 +2,11 @@
 
 A detector broadcasts the measurement event of the first superposition it
 sees; every member cell reacts by running ``reduce`` inside its own cycle.
-The members roll-call their identities on the context's signal event; the
-first to report draws one uniformly. The elected cell becomes a real
-particle and broadcasts its state on the measurement event, which an
-entangled twin shares. The five instants from the measurement broadcast to
-the last member reset make "the collapse is instantaneous" checkable.
+The members roll-call their identities on the context's signal event, and
+the first to report broadcasts a uniform draw of them there. The elected
+cell becomes a real particle and broadcasts its state on the measurement
+event, which an entangled twin shares. The five instants from measurement
+to the last member reset make "the collapse is instantaneous" checkable.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def detector_behavior(world: World):
                     state_counts=counts,
                     measured=world.measure_enabled,
                 )
-                world.stats.record_contact(rec)
+                world.stats.detections.append(rec)
                 if world.measure_enabled:
                     sched.generate(ctx.measure, ())
         yield COOPERATE  # an Await now would find this instant's contacts again
@@ -70,30 +70,30 @@ def detector_behavior(world: World):
 def reduce(world: World, c: Cell):
     """One member cell's part of the collapse, run inside the cell's cycle.
 
-    Two instants after the measurement the member reports its identity on
-    the roll-call; the first member to report (in spawn-id order) collects
-    the roll-call and, unless a choice exists, elects one identity. At
-    T = t+5 (measured at t) the elected member takes the outcome its twin's
+    Measured at t, every member reports its identity on the roll-call
+    ``ctx.signal`` at t+3; the first to report (in spawn-id order) collects
+    them and broadcasts a uniform draw on it at t+4, which every member
+    collects. At T = t+5 the elected member takes the outcome its twin
     broadcast on the measurement event, else broadcasts its own basic state,
-    launches the real particle, and the cell resets. Nothing else reads the
-    event at T: the pair's cells collect it only at t's parity, and elected
-    members resume from the start list, before any detector.
+    launches the real particle and appends its ``ReductionRecord``. Nothing
+    else reads the event at T: the pair's cells collect it only at t's
+    parity, and elected members resume from the start list, before any
+    detector.
     """
     sched = world.sched
     ctx = c.ctx
     me = world.grid.linear(c.x, c.y)
     yield COOPERATE
     yield COOPERATE
-    first = not ctx.signal.values
+    elector = not ctx.signal.values
     sched.generate(ctx.signal, me)
-    if first:
+    if elector:
         ids = yield Collect(ctx.signal)
-        if ctx.chosen == -1:
-            ctx.chosen = choose(ids, world.rng)
+        sched.generate(ctx.signal, choose(ids, world.rng))
     else:
         yield COOPERATE
-    yield COOPERATE
-    if ctx.chosen == me:
+    [chosen] = yield Collect(ctx.signal)
+    if chosen == me:
         if ctx.measure.values:  # the twin's elected member ran first
             state = ctx.measure.values[0]
         else:
@@ -105,6 +105,6 @@ def reduce(world: World, c: Cell):
             vx, vy = 0.0, float(c.kind.value)
         p = RealParticle(c.x + 0.5, c.y + 0.5, vx, vy, state)
         world.add_particle(p)
-        world.stats.record_reduction(
+        world.stats.reductions.append(
             ReductionRecord(sched.clock, ctx.serial, ctx.measure.eid, me, state)
         )

@@ -52,6 +52,7 @@ the first instant run; a cell's behavior starts at its first trigger.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -141,6 +142,16 @@ class ScenarioSpec:
 # -- parsing ------------------------------------------------------------------
 
 _INT = (int, "an integer")
+
+
+def _count(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise ValueError(value)
+    return n
+
+
+_COUNT = (_count, "an integer >= 0")
 _FLOAT = (float, "a number")
 _BOOL = (
     {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}.__getitem__,
@@ -161,10 +172,12 @@ _KEYS = {
         "vy": _FLOAT,
     },
     "detector": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _INT), "kind": _KIND},
-    "run": {"instants": _INT, "seed": _INT},
+    "run": {"instants": _COUNT, "seed": _INT},
 }
 # the repeatable sections, one spec per section
 _RECORDS = {"wall": WallSpec, "slit": SlitSpec, "source": SourceSpec, "detector": DetectorSpec}
+# a line ends only at \n, \r\n or a lone \r (str.splitlines also breaks at \f, \x85, ...)
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
@@ -185,7 +198,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     f"line {record_line}: incomplete [{section}] section ({exc})"
                 )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -242,7 +255,7 @@ def read_scenario(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(_LINE_END.split(data[: exc.start].decode("utf-8")))
         raise ScenarioError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
 

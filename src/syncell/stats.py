@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -12,10 +12,10 @@ class DetectionRecord:
 
     ``state_counts`` is the per-basic-state census of every cell of the
     contacted superposition at the contact instant (the whole superposition,
-    not only the zone slice). ``chosen_state`` is filled in once the
-    corresponding reduction decides; it stays None for probe-mode contacts
-    (measurement disabled) and for measurements that never resolve. The
-    record keeps the context's serial, never the context.
+    not only the zone slice). Its outcome is the state of the reduction with
+    its ``ctx_serial``, which probe-mode contacts (measurement disabled) and
+    unresolved measurements lack. The record keeps the context's serial,
+    never the context.
     """
 
     instant: int
@@ -24,7 +24,6 @@ class DetectionRecord:
     size: int
     state_counts: tuple[int, ...]
     measured: bool
-    chosen_state: int | None = None
 
 
 @dataclass
@@ -36,27 +35,13 @@ class ReductionRecord:
     state: int
 
 
+@dataclass
 class RunStats:
-    """Statistics sink shared by detectors and reductions during a run."""
+    """The run's records, in the order they happen: ``detector_behavior``
+    appends every contact, ``reduce`` every context's collapse outcome."""
 
-    def __init__(self):
-        self.detections: list[DetectionRecord] = []
-        self.reductions: list[ReductionRecord] = []
-        self._pending: dict[int, list[DetectionRecord]] = {}
-
-    def record_contact(self, rec: DetectionRecord) -> None:
-        self.detections.append(rec)
-        if rec.measured:
-            self._pending.setdefault(rec.ctx_serial, []).append(rec)
-
-    def record_reduction(self, rec: ReductionRecord) -> None:
-        self.reductions.append(rec)
-        for det in self._pending.pop(rec.ctx_serial, ()):
-            det.chosen_state = rec.state
-
-    def unresolved(self) -> int:
-        """Measured contacts whose reduction never reported back."""
-        return sum(len(v) for v in self._pending.values())
+    detections: list[DetectionRecord] = field(default_factory=list)
+    reductions: list[ReductionRecord] = field(default_factory=list)
 
 
 def state_fractions(counts) -> dict[int, float]:
@@ -87,14 +72,13 @@ class RunReport:
         n_det = len(world.detectors)
         counts = [[0] * base for _ in range(n_det)]
         sizes: list[list[int]] = [[] for _ in range(n_det)]
-        total = 0
-        for det in world.stats.detections:
-            if not det.measured:
-                continue
+        outcomes = {r.ctx_serial: r.state for r in world.stats.reductions}
+        measured = [det for det in world.stats.detections if det.measured]
+        for det in measured:
             sizes[det.detector].append(det.size)
-            if det.chosen_state is not None:
-                counts[det.detector][det.chosen_state] += 1
-                total += 1
+            if det.ctx_serial in outcomes:
+                counts[det.detector][outcomes[det.ctx_serial]] += 1
+        total = sum(map(sum, counts))
         return cls(
             seed=world.seed,
             instants=instants,
@@ -103,7 +87,7 @@ class RunReport:
             detector_counts=counts,
             detector_sizes=sizes,
             detections_total=total,
-            unresolved=world.stats.unresolved(),
+            unresolved=len(measured) - total,
             ctx_collisions=world.ctx_collisions,
         )
 

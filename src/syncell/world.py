@@ -57,7 +57,7 @@ class MeasurementContext:
 
     ``measure`` is the broadcast event a detector fires; ``signal`` is the
     roll-call event on which member cells report their identities during
-    reduction; ``chosen`` is the elected cell id (-1 until the draw).
+    reduction and on which the elector then broadcasts the elected one.
     ``measure`` may be shared with a twin context (entanglement), and then
     also carries the pair's outcome state (``measure.reduce``); ``signal``
     never is shared. ``collect_measure`` is the one ``Collect(measure)``
@@ -69,7 +69,6 @@ class MeasurementContext:
         "measure",
         "collect_measure",
         "signal",
-        "chosen",
         "serial",
         "spawn_velocity",
     )
@@ -84,7 +83,6 @@ class MeasurementContext:
         self.measure = measure
         self.collect_measure = Collect(measure)
         self.signal = signal
-        self.chosen = -1
         self.serial = serial
         self.spawn_velocity = spawn_velocity
 
@@ -160,7 +158,7 @@ class World:
         walls: Optional[bytes] = None,
     ):
         self.sched = Scheduler()
-        self.cell_ids = self.sched.reserve(width * height)
+        self.sched.reserve(width * height)  # a cell's spawn id is its Grid.linear
         self.grid = Grid(width, height, self.sched, walls)
         self.rng = random.Random(seed)
         self.seed = seed
@@ -263,10 +261,11 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
 
 
 def start_cell(world: World, c: Cell, kind: CellKind) -> None:
-    """Start never-triggered ``c`` (``kind`` None) under its reserved id as its
-    first activation, of direction ``kind``, is generated: it steps later this instant."""
+    """Start never-triggered ``c`` (``kind`` None) under its reserved id, its
+    ``Grid.linear``, as its first activation, of direction ``kind``, is
+    generated: it steps later this instant."""
     c.kind = kind
-    world.sched.spawn(cell_behavior(world, c), world.cell_ids[world.grid.linear(c.x, c.y)])
+    world.sched.spawn(cell_behavior(world, c), world.grid.linear(c.x, c.y))
 
 
 def cell_reset(world: World, c: Cell) -> None:

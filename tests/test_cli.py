@@ -287,6 +287,8 @@ def test_worker_count_never_exceeds_tasks_or_cpus(monkeypatch):
         (["compare", "--instants", "-5"], "--instants must be at least 0, got -5"),
         (["compare", "--runs", "0"], "--runs must be at least 1, got 0"),
         (["compare", "--runs", "two"], "--runs: invalid int value: 'two'"),
+        (["compare", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["compare", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
     ],
 )
 def test_out_of_range_counts_exit_2(small_file, capsys, argv, fragment):
@@ -294,6 +296,14 @@ def test_out_of_range_counts_exit_2(small_file, capsys, argv, fragment):
         main(argv[:1] + ["--scenario", small_file] + argv[1:])
     assert exc.value.code == EXIT_SCENARIO
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_negative_instants_in_the_file_exits_2(tmp_path, capsys, command):
+    scn = tmp_path / "negative.scn"
+    scn.write_text(SMALL.replace("instants=90", "instants=-5"))
+    assert main([command, "--scenario", str(scn)]) == EXIT_SCENARIO
+    assert "line 20: instants expects an integer >= 0, got '-5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -131,8 +131,10 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
     sorted visible ``(x, y, state, ctx serial)``, every particle's
     ``(fx, fy, vx, vy, state)`` in birth order, the detections new in the
     instant ``(instant, detector, ctx serial, size, counts, chosen)`` and the
-    reductions new in it ``(instant, ctx serial, cell id, state)``. The last
-    link also covers every detection's final chosen state. Event ids are left
+    reductions new in it ``(instant, ctx serial, cell id, state)``; a
+    detection's ``chosen`` is the state of the reduction with its ctx serial
+    so far, for a measured detection, else None. The last link also covers
+    every detection's final chosen state. Event ids are left
     out: they number allocations, not behavior. ``prepare``, if given, is
     called on the built world before its first instant. Returns one link per
     instant executed, then the last link, in hex.
@@ -146,6 +148,11 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
     run_instant = sched.run_instant
     seen = {"link": b"", "detections": 0, "reductions": 0}
 
+    def chosen(d):
+        if not d.measured:
+            return None
+        return next((r.state for r in stats.reductions if r.ctx_serial == d.ctx_serial), None)
+
     def traced():
         report = run_instant()
         visible = sorted(
@@ -153,7 +160,7 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
         )
         particles = [(p.fx, p.fy, p.vx, p.vy, p.state) for p in world.particles]
         detections = [
-            (d.instant, d.detector, d.ctx_serial, d.size, d.state_counts, d.chosen_state)
+            (d.instant, d.detector, d.ctx_serial, d.size, d.state_counts, chosen(d))
             for d in stats.detections[seen["detections"] :]
         ]
         reductions = [
@@ -169,8 +176,8 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
 
     sched.run_instant = traced
     run_world(world, instants)
-    chosen = repr([d.chosen_state for d in stats.detections])
-    return links + [hashlib.sha256(seen["link"] + chosen.encode()).hexdigest()]
+    final = repr([chosen(d) for d in stats.detections])
+    return links + [hashlib.sha256(seen["link"] + final.encode()).hexdigest()]
 
 
 def trace_digest(spec, instants: int) -> tuple[int, str]:

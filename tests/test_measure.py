@@ -64,11 +64,11 @@ def test_choose_is_close_to_uniform():
 
 
 def reduce_elected(states):
-    """Run ``reduce`` for one pre-elected member per given basic state, each
-    in its own context, all under one measure event and dispatched in the
-    given order. Returns the launched particles' states and the values
-    broadcast on the event, by instant; ``reduce`` starts in instant 0, the
-    one after the measurement it reacts to."""
+    """Run ``reduce`` for one member per given basic state, each the only
+    member of its own context, so it elects itself, all under one measure
+    event and dispatched in the given order. Returns the launched particles'
+    states and the values broadcast on the event, by instant; ``reduce``
+    starts in instant 0, the one after the measurement it reacts to."""
     w = World(9, 9)
     event = w.sched.new_event()
     broadcasts = {}
@@ -82,7 +82,6 @@ def reduce_elected(states):
         c = w.grid.cell(2 + 2 * i, 4)
         c.kind, c.basic_state = UP, state
         c.ctx = w.new_context(measure=event)
-        c.ctx.chosen = w.grid.linear(c.x, c.y)
         w.sched.spawn(measure.reduce(w, c))
     w.sched.spawn(listener())
     w.run(REDUCE_WINDOW + 1)
@@ -108,7 +107,7 @@ def single_shot_world(**kwargs):
         width=31,
         height=31,
         sources=[SourceSpec(x=15, y=27, state=0, shots=1, period=10)],
-        detectors=[DetectorSpec(x0=1, y0=17, x1=29, y1=17)],
+        detectors=kwargs.pop("detectors", [DetectorSpec(x0=1, y0=17, x1=29, y1=17)]),
         seed=kwargs.pop("seed", 3),
         **kwargs,
     )
@@ -124,7 +123,8 @@ def test_detection_fires_once_and_resolves():
     # source at y=27 fires (15,26); zone row 17 is generation 9
     assert rec.instant == 2 * 9 + 1
     assert rec.size == 2 * 9 + 1
-    assert rec.chosen_state is not None
+    [red] = w.stats.reductions
+    assert red.ctx_serial == rec.ctx_serial
     assert sum(rec.state_counts) == rec.size
 
 
@@ -132,9 +132,9 @@ def test_collapse_window_and_silence_after_measurement():
     w = single_shot_world()
     log = InstantLog()
     w.run(80, on_instant=log)
-    assert w.stats.unresolved() == 0
     [rec] = w.stats.detections
     [red] = w.stats.reductions
+    assert red.ctx_serial == rec.ctx_serial
     assert red.instant == rec.instant + REDUCE_WINDOW
     assert_collapses(log, [(rec.ctx_serial, rec.instant)])
 
@@ -144,8 +144,59 @@ def test_exactly_one_particle_per_measured_superposition():
     w.run(80)
     assert len(w.particles) == 1
     [rec] = w.stats.detections
+    [red] = w.stats.reductions
     [p] = w.particles
-    assert p.state == rec.chosen_state
+    assert red.ctx_serial == rec.ctx_serial and p.state == red.state
+
+
+def test_the_roll_call_broadcasts_the_elected_id():
+    w = single_shot_world()
+    heard = []
+
+    def listener():
+        while not w.stats.detections:
+            yield COOPERATE
+        ctx = next(iter(w.visible.values()))
+        heard.append(sorted(w.grid.linear(c.x, c.y) for c, x in w.visible.items() if x is ctx))
+        while True:
+            values = yield AwaitCollect(ctx.signal)
+            heard.append((w.sched.clock - 1, values))
+
+    w.sched.spawn(listener())
+    w.run(80)
+    [rec] = w.stats.detections
+    [red] = w.stats.reductions
+    members = heard.pop(0)
+    assert len(members) == rec.size
+    # the ids in row-major (spawn-id) order, then the elector's draw alone
+    assert heard == [(rec.instant + 3, members), (rec.instant + 4, [red.cell_id])]
+
+
+def test_report_matches_each_measured_detection_to_its_reduction():
+    # two overlapping detectors of one kind measure the one superposition
+    overlapping = [DetectorSpec(1, 17, 29, 17), DetectorSpec(5, 17, 25, 17)]
+    w = single_shot_world(detectors=overlapping)
+    report = run_world(w, 80)
+    [red] = w.stats.reductions
+    assert [rec.ctx_serial for rec in w.stats.detections] == [red.ctx_serial] * 2
+    outcome = [int(s == red.state) for s in range(w.base)]
+    assert report.detector_counts == [outcome, outcome]
+    assert (report.detections_total, report.unresolved) == (2, 0)
+
+    # stopped inside the collapse window: each measured detection is unresolved
+    w = single_shot_world(detectors=overlapping)
+    report = run_world(w, 2 * 9 + 1 + REDUCE_WINDOW)
+    assert len(w.stats.detections) == 2 and w.stats.reductions == []
+    assert report.detector_counts == [[0] * w.base] * 2
+    assert (report.detections_total, report.unresolved) == (0, 2)
+
+    # a probe-mode contact is neither counted nor unresolved
+    w = single_shot_world()
+    w.measure_enabled = False
+    report = run_world(w, 80)
+    assert len(w.stats.detections) == 1
+    assert report.detector_counts == [[0] * w.base] and report.detector_sizes == [[]]
+    assert (report.detections_total, report.unresolved) == (0, 0)
 
 
 def test_detector_ignores_opposite_direction():
@@ -187,7 +238,7 @@ def test_probe_mode_records_contacts_without_measuring():
     w.run(80)
     assert measured_contacts(w) == 0
     [rec] = w.stats.detections
-    assert rec.measured is False and rec.chosen_state is None
+    assert rec.measured is False and w.stats.reductions == []
     assert w.particles == []
 
 
@@ -239,35 +290,6 @@ def test_empty_zone_never_detects():
     w = build_world(spec)
     w.run(30)
     assert measured_contacts(w) == 0
-
-
-def test_chooser_leaves_an_existing_choice_alone():
-    # pre-electing a member before the roll-call freezes the outcome
-    spec = ScenarioSpec(
-        width=31,
-        height=31,
-        sources=[SourceSpec(x=15, y=27, state=0, shots=1, period=10)],
-        detectors=[DetectorSpec(x0=1, y0=17, x1=29, y1=17)],
-        seed=3,
-    )
-    w = build_world(spec)
-    forced = {}
-
-    def rig():
-        # wait for the detection instant, then force the choice before the
-        # election resolves (the roll-call happens 3 instants after measure)
-        while not w.stats.detections:
-            yield COOPERATE
-        [rec] = w.stats.detections
-        ctx = next(c for c in w.visible.values())
-        ctx.chosen = w.grid.linear(15, 17)
-        forced["id"] = ctx.chosen
-        yield COOPERATE
-
-    w.sched.spawn(rig())
-    w.run(80)
-    [red] = w.stats.reductions
-    assert red.cell_id == forced["id"]
 
 
 @pytest.mark.parametrize("name,contexts_per_collapse", [("single.scn", 1), ("entangled.scn", 2)])

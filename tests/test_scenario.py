@@ -108,12 +108,22 @@ def test_parse_happy_path():
         ("[grid]\nwidth=10\nheight=10\n[wall]\nx0=1\ny0=1\nx1=2\n", "line 4: incomplete [wall] section"),
         ("[grid]\nwidth=10\nheight=10\n[slit]\nwall=0\nx1=2\n", "line 4: incomplete [slit] section"),
         ("[grid]\nwidth=10\nheight=10\n[detector]\nx0=1\n[run]\n", "line 4: incomplete [detector] section"),
+        ("[grid]\nwidth=10\nheight=10\n[run]\ninstants=-5\n", "line 5: instants expects an integer >= 0, got '-5'"),
+        # only \n, \r\n and a lone \r end a line: a form feed does not
+        ("[grid]\nwidth=10\nheight=10 # \x0c\n[run]\ninstants=x\n", "line 5: instants expects"),
+        ("[grid]\r\nwidth=10\rheight=10\r\n[run]\rinstants=x\n", "line 5: instants expects"),
     ],
 )
 def test_parse_errors_carry_line_information(text, fragment):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert fragment in str(err.value)
+
+
+def test_a_next_line_or_line_separator_does_not_end_a_line():
+    # str.splitlines would break "# a\x85b" into a comment and a stray "b"
+    spec = parse_scenario("# a\x85b\n[grid]\nwidth=9 # \u2028x\nheight=9\n")
+    assert (spec.width, spec.height) == (9, 9)
 
 
 _HEADERS = ["[grid]", "[wall]", "[slit]", "[source]", "[detector]", "[run]", "[oops]", "[grid", "[]"]
@@ -509,6 +519,7 @@ def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
         (b"\xff[grid]\n", "line 1: byte 0xff"),
         ("# café\r\n[grid]\r\nwidth=9".encode() + b"\xe9\n", "line 3: byte 0xe9"),  # Latin-1
         (b"[grid]\n\nwidth=9\nheight=9\n# \xc3", "line 5: byte 0xc3"),  # cut short
+        (b"[grid]\rwidth=9\r\nheight=9\x0c\r# \xe9\n", "line 4: byte 0xe9"),  # \r, no \f
     ],
 )
 def test_load_scenario_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path, data, fragment):
@@ -540,10 +551,8 @@ def test_standard_fire_builds_an_entirely_fresh_context():
     w.sched.run_instant()
     a, b = seen
     assert a.measure is not b.measure
-    assert a.signal is not b.signal
-    assert a.chosen == b.chosen == -1
-    a.chosen = 7
-    assert b.chosen == -1  # each context has its own choice
+    assert a.signal is not b.signal  # each context elects on its own roll-call
+    assert a.serial != b.serial
 
 
 def test_entangled_fires_share_exactly_measure():
@@ -557,10 +566,8 @@ def test_entangled_fires_share_exactly_measure():
     a, b = up_cell.ctx, down_cell.ctx
     assert a is not b
     assert a.measure is b.measure
-    assert a.signal is not b.signal
-    assert a.chosen == b.chosen == -1
-    a.chosen = 7
-    assert b.chosen == -1  # each context has its own choice
+    assert a.signal is not b.signal  # each context elects on its own roll-call
+    assert a.serial != b.serial
     assert up_cell.kind is UP and down_cell.kind is DOWN
 
 

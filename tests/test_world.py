@@ -313,7 +313,7 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
     # started before the trigger, as a cell that ran a cycle before is; its
     # kind keeps fire from starting it again
     c.kind = UP
-    w.sched.spawn(counted(cell_behavior(w, c)), w.cell_ids[w.grid.linear(c.x, c.y)])
+    w.sched.spawn(counted(cell_behavior(w, c)), w.grid.linear(c.x, c.y))
     heard = []
 
     def trigger_spy():  # wakes once, when the cell ahead is triggered
