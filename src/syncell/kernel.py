@@ -65,7 +65,8 @@ class DivergenceError(KernelError):
 
 class Event:
     """A broadcast channel. Values are scoped to one instant; the event is
-    present in an instant once a value has been generated on it."""
+    present in an instant once a value has been generated on it. Each open
+    site of a world is one, a ``world.Cell``, numbered by ``new_event_ids``."""
 
     __slots__ = ("eid", "values", "waiters")
 
@@ -149,9 +150,12 @@ class Scheduler:
         self.alive = 0
 
     def new_event(self) -> Event:
-        e = Event(self._next_eid)
-        self._next_eid += 1
-        return e
+        return Event(self.new_event_ids(1)[0])
+
+    def new_event_ids(self, n: int) -> range:
+        """Hand out ``n`` consecutive fresh event ids for ``Event`` subclasses."""
+        self._next_eid += n
+        return range(self._next_eid - n, self._next_eid)
 
     def reserve(self, n: int) -> range:
         """Set aside ``n`` consecutive spawn ids for ``spawn(gen, bid)``; each is

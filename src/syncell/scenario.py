@@ -249,12 +249,14 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def read_scenario(path) -> str:
-    """A scenario file's text; a byte that is not UTF-8 is a ScenarioError."""
+    """A scenario file's text after a leading UTF-8 byte-order mark, which the
+    spec's digest leaves out; a byte that is not UTF-8 is a ScenarioError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object  # the bytes after the mark, which exc.start counts in
         line = len(_LINE_END.split(data[: exc.start].decode("utf-8")))
         raise ScenarioError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
@@ -287,7 +289,7 @@ def fire(
     ctx = world.new_context(measure=measure, spawn_velocity=spawn_velocity)
     if cell.kind is None:
         start_cell(world, cell, direction)
-    world.sched.generate(cell.trigger, (direction, state % world.base, ctx))
+    world.sched.generate(cell, (direction, state % world.base, ctx))
     return ctx
 
 

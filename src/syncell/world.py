@@ -1,16 +1,16 @@
 """The cellular world: grid, cells, and the transmit/collect cell cycle.
 
 A virtual particle is the set of visible cells of one emission: the keys of
-``World.visible`` whose value is that emission's context. A non-wall cell
-runs one ``cell_behavior`` from its first trigger on. The cycle of a triggered
-cell spans instants: no step runs in the instant it is triggered; one
-instant later it resumes with every activation of that instant, combines
-them, settles its state and becomes visible, and one instant after that
-either retransmits (one ``(kind, basic_state, ctx)`` tuple, shared by the
-triggers of the three cells ahead) or, if its measurement event fired,
-runs the reduction (``measure.reduce``) as the last phase of the same
-cycle. Every cycle ends with the cell reset to state 0 and dropped from
-``World.visible``, so a wavefront row advances every two instants.
+``World.visible`` whose value is that emission's context. An open site is one
+object, a ``Cell``, also its trigger event; it runs one ``cell_behavior`` from
+its first trigger on. The cycle of a triggered cell spans instants: no step
+runs in the instant it is triggered; one instant later it resumes with every
+activation of that instant, combines them, settles its state and becomes
+visible, and one instant after that either retransmits (one ``(kind,
+basic_state, ctx)`` tuple, generated on the three cells ahead) or, if its
+measurement event fired, runs the reduction (``measure.reduce``) as the last
+phase of the same cycle. Every cycle ends with the cell reset to state 0 and
+dropped from ``World.visible``, so a wavefront row advances every two instants.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class MeasurementContext:
         self.spawn_velocity = spawn_velocity
 
 
-class Cell:
-    """One open grid site; a wall has none.
+class Cell(Event):
+    """One open grid site, which is also its trigger event; a wall has none.
 
     ``kind``, ``basic_state`` and ``ctx`` are only meaningful while the cell
     is in ``World.visible`` (between its combine step and its reset); outside
@@ -98,14 +98,17 @@ class Cell:
     cell. The cell runs a behavior iff its ``kind`` is not None.
     """
 
-    __slots__ = ("x", "y", "kind", "basic_state", "trigger", "ctx")
+    __slots__ = ("x", "y", "kind", "basic_state", "ctx")
 
-    def __init__(self, x: int, y: int, trigger: Event):
+    def __init__(self, x: int, y: int, eid: int):
+        # Event's fields too: an Event.__init__ call per open site slows the build
+        self.eid = eid
+        self.values: list = []
+        self.waiters: list[tuple] = []
         self.x = x
         self.y = y
         self.kind: Optional[CellKind] = None
         self.basic_state = 0
-        self.trigger = trigger
         self.ctx: Optional[MeasurementContext] = None
 
     def __repr__(self):
@@ -117,8 +120,8 @@ class Grid:
 
     ``walls`` holds one byte per site in row-major order, 1 for a wall; the
     border ring is wall whatever the given mask says there. Every other site
-    gets a ``Cell`` with its trigger, made in row-major order, and ``cell``
-    returns None at a wall."""
+    gets one object, a ``Cell`` that is also its trigger event, made in
+    row-major order under one block of event ids; ``cell`` is None at a wall."""
 
     def __init__(self, width: int, height: int, sched: Scheduler, walls: Optional[bytes] = None):
         if width < 3 or height < 3:
@@ -131,9 +134,9 @@ class Grid:
         self.width = width
         self.height = height
         self.walls = bytes(mask)
-        new_event = sched.new_event
+        eids = iter(sched.new_event_ids(self.walls.count(0)))
         self._cells = [
-            None if wall else Cell(i % width, i // width, new_event())
+            None if wall else Cell(i % width, i // width, next(eids))
             for i, wall in enumerate(self.walls)
         ]
 
@@ -257,7 +260,7 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
         if t is not None:
             if t.kind is None:
                 start_cell(world, t, c.kind)
-            sched.generate(t.trigger, a)
+            sched.generate(t, a)
 
 
 def start_cell(world: World, c: Cell, kind: CellKind) -> None:
@@ -277,7 +280,7 @@ def cell_behavior(world: World, c: Cell):
     """The non-terminating cycle of one cell (see the module docstring).
 
     Add no local: each costs 8 B per started cell."""
-    collect_trigger = AwaitCollect(c.trigger)
+    collect_trigger = AwaitCollect(c)
     while True:
         # resumes the instant after the trigger, with every activation of it
         activations = yield collect_trigger

@@ -1,5 +1,6 @@
 """Scenario parsing, world construction, and emission contracts."""
 
+import gc
 import time
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from syncell import COOPERATE, DOWN, UP, World
 from syncell import scenario
+from syncell.kernel import Event
 from syncell.scenario import (
     DetectorSpec,
     MAX_CELLS,
@@ -160,7 +162,7 @@ def test_empty_world_has_dead_interior_and_brick_border():
     assert len(interior) == 18 * 18
     assert w.visible == {}
     assert all(
-        c.ctx is None and c.basic_state == 0 and not c.trigger.present for c in interior
+        c.ctx is None and c.basic_state == 0 and not c.present for c in interior
     )
     # a cell's behavior starts at its first trigger: none has one yet
     assert all(c.kind is None for c in interior)
@@ -187,7 +189,7 @@ def test_open_slit_carves_through_its_wall():
     assert w.grid.cell(8, 9) is not None
     assert w.grid.cell(6, 9) is None
     # the carved cells are open and, like every cell, not started before a trigger
-    assert w.grid.cell(7, 9).kind is None and w.grid.cell(7, 9).trigger is not None
+    assert w.grid.cell(7, 9).kind is None and isinstance(w.grid.cell(7, 9), Event)
     assert sum(c.kind is None for c in cells_of(w.grid)) == 18 * 18 - (18 - 2)
     assert w.sched.alive == 0
 
@@ -215,6 +217,26 @@ def test_young200_builds_in_14_mb_and_starts_only_the_cells_it_triggers():
     # behavior and the particle stepper
     assert w.sched.alive == 644
     assert w.sched.alive - 3 == sum(c.kind in (UP, DOWN) for c in cells_of(w.grid))
+
+
+def test_young200_builds_one_object_per_open_site():
+    """An open site is one ``Cell``, its own trigger event: with the event's
+    value and waiter lists, three GC-tracked objects. The rest of the world
+    is a few dozen."""
+    spec = load_scenario(SCENARIOS / "young200.scn")
+    gc.collect()
+    before = len(gc.get_objects())
+    w = build_world(spec)
+    added = len(gc.get_objects()) - before
+    assert added <= 3 * len(cells_of(w.grid)) + 100
+
+
+def test_open_cells_hold_the_first_event_ids_in_row_major_order():
+    walls, slits = [WallSpec(1, 5, 10, 6)], [SlitSpec(0, 2, 8)]
+    w = build_world(ScenarioSpec(width=12, height=12, walls=walls, slits=slits))
+    cells = cells_of(w.grid)
+    assert [c.eid for c in cells] == list(range(len(cells)))
+    assert w.contact.eid == len(cells)
 
 
 @pytest.mark.parametrize(
@@ -492,7 +514,7 @@ def assert_walls_are_the_mask_and_cells_are_interior(world):
             c = grid.cell(x, y)
             assert (c is None) == (wall == 1), (x, y)
             if c is not None:
-                assert (c.x, c.y) == (x, y) and c.trigger is not None, c
+                assert (c.x, c.y) == (x, y) and isinstance(c, Event), c
                 assert 1 <= x <= width - 2 and 1 <= y <= height - 2, c
 
 
@@ -520,12 +542,36 @@ def test_any_spec_builds_and_runs_or_raises_a_scenario_error(spec):
         ("# café\r\n[grid]\r\nwidth=9".encode() + b"\xe9\n", "line 3: byte 0xe9"),  # Latin-1
         (b"[grid]\n\nwidth=9\nheight=9\n# \xc3", "line 5: byte 0xc3"),  # cut short
         (b"[grid]\rwidth=9\r\nheight=9\x0c\r# \xe9\n", "line 4: byte 0xe9"),  # \r, no \f
+        (b"\xef\xbb\xbf[grid]\nwidth=9\xff\n", "line 2: byte 0xff"),  # after a byte-order mark
+        (b"\xef\xbb[grid]\n", "line 1: byte 0xef"),  # a mark cut short
     ],
 )
 def test_load_scenario_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path, data, fragment):
     path = tmp_path / "bad.scn"
     path.write_bytes(data)
     with pytest.raises(ScenarioError, match=f"^{fragment} is not UTF-8$"):
+        load_scenario(path)
+
+
+def test_a_leading_byte_order_mark_is_left_out_of_the_text_and_its_digest(tmp_path):
+    text = (SCENARIOS / "single.scn").read_text()
+    path = tmp_path / "bom.scn"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert scenario.read_scenario(path) == text
+    assert load_scenario(path) == parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "data,fragment",
+    [
+        (b"\xef\xbb\xbf\xef\xbb\xbf[grid]\n", "line 1: expected key=value"),  # a second mark
+        (b"[grid]\n\xef\xbb\xbfwidth=9\n", "line 2: unknown \\[grid\\] key"),
+    ],
+)
+def test_a_byte_order_mark_past_the_start_is_an_error(tmp_path, data, fragment):
+    path = tmp_path / "bom.scn"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError, match=f"^{fragment}"):
         load_scenario(path)
 
 
@@ -601,7 +647,7 @@ def test_emitter_fires_its_first_shot_in_instant_0(monkeypatch):
     triggered = {}
 
     def trigger_spy():  # runs after the emitter in instant 0
-        triggered[w.sched.clock] = fired_cell.trigger.present
+        triggered[w.sched.clock] = fired_cell.present
         yield COOPERATE
 
     w.sched.spawn(trigger_spy())

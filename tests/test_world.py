@@ -60,7 +60,7 @@ def triggered_coords(w):
         (x, y)
         for y in range(w.grid.height)
         for x in range(w.grid.width)
-        if (c := w.grid.cell(x, y)) is not None and c.trigger.present
+        if (c := w.grid.cell(x, y)) is not None and c.present
     ]
 
 
@@ -72,7 +72,7 @@ def test_awake_neighbourhood_skips_bricks_and_carries_state():
     def act():
         awake_neighbourhood(w, c)  # brick straight ahead: nothing generated there
         seen["hit"] = triggered_coords(w)
-        seen["values"] = [list(w.grid.cell(x, 3).trigger.values) for x in (3, 5)]
+        seen["values"] = [list(w.grid.cell(x, 3).values) for x in (3, 5)]
 
     in_active_phase(w, act)
     assert seen["hit"] == [(3, 3), (5, 3)]
@@ -86,7 +86,7 @@ def test_one_transmit_hands_one_plain_tuple_to_all_three_neighbours():
 
     def act():
         awake_neighbourhood(w, c)
-        seen["values"] = [list(w.grid.cell(x, 5).trigger.values) for x in (3, 4, 5)]
+        seen["values"] = [list(w.grid.cell(x, 5).values) for x in (3, 4, 5)]
 
     in_active_phase(w, act)
     (first,), (second,), (third,) = seen["values"]
@@ -101,7 +101,7 @@ def test_fire_hands_a_plain_tuple_to_its_cell():
 
     def act():
         seen["ctx"] = fire(w, c, 5, UP, w.sched.new_event())
-        seen["values"] = list(c.trigger.values)
+        seen["values"] = list(c.values)
 
     in_active_phase(w, act)
     assert seen["values"] == [(UP, 5 % 3, seen["ctx"])]
@@ -118,7 +118,7 @@ def test_two_emitters_stack_activations_on_one_trigger():
     def act():
         awake_neighbourhood(w, a)
         awake_neighbourhood(w, b)
-        seen["values"] = list(target.trigger.values)
+        seen["values"] = list(target.values)
 
     in_active_phase(w, act)
     assert seen["values"] == [(UP, 1, a.ctx), (UP, 2, b.ctx)]
@@ -174,7 +174,7 @@ def settle(w, x, y, activations, state=0):
 
     def trigger():
         for a in activations:
-            w.sched.generate(c.trigger, a)
+            w.sched.generate(c, a)
         yield COOPERATE
 
     w.sched.spawn(trigger())
@@ -244,9 +244,9 @@ def test_cell_reset_leaves_pending_trigger_values_alone():
     seen = {}
 
     def act():
-        w.sched.generate(c.trigger, "pending")
+        w.sched.generate(c, "pending")
         cell_reset(w, c)
-        seen["values"] = list(c.trigger.values)
+        seen["values"] = list(c.values)
 
     in_active_phase(w, act)
     assert seen["values"] == ["pending"]
@@ -273,7 +273,7 @@ def test_dead_cell_triggered_cycle_timing():
 
     def trigger_spy():  # runs after the igniter in every instant
         while True:
-            triggered[w.sched.clock] = target.trigger.present
+            triggered[w.sched.clock] = target.present
             yield COOPERATE
 
     w.sched.spawn(trigger_spy())
@@ -289,7 +289,7 @@ def test_dead_cell_triggered_cycle_timing():
     got = {}
 
     def spy():
-        got["above"] = (w.sched.clock, above.trigger.present)
+        got["above"] = (w.sched.clock, above.present)
         yield COOPERATE
 
     w.sched.spawn(spy())
@@ -317,7 +317,7 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
     heard = []
 
     def trigger_spy():  # wakes once, when the cell ahead is triggered
-        yield Await(w.grid.cell(4, 5).trigger)
+        yield Await(w.grid.cell(4, 5))
         heard.append(w.sched.clock)
 
     w.sched.spawn(trigger_spy())
