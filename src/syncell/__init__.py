@@ -35,7 +35,6 @@ from .scenario import (
     ScenarioError,
     ScenarioSpec,
     build_world,
-    expected_distribution,
     fire,
     load_scenario,
     parse_scenario,
@@ -70,7 +69,6 @@ __all__ = [
     "World",
     "build_world",
     "choose",
-    "expected_distribution",
     "fire",
     "load_scenario",
     "parse_scenario",

@@ -35,9 +35,7 @@ def detector_behavior(world: World):
     In index order, each detector walks the instant's ``world.contact`` values
     (spawn-id, so row-major, order) and fires the measurement of each
     superposition of its accepted direction in its rectangle (a contact is a
-    non-wall cell), at most once per superposition. With
-    ``world.measure_enabled`` off the detectors only record contacts (used to
-    read off the undisturbed superposition a detector would see).
+    non-wall cell), at most once per superposition.
     """
     zones = [
         (range(d.x0, d.x1 + 1), range(d.y0, d.y1 + 1), d.kind, set()) for d in world.detectors
@@ -53,17 +51,10 @@ def detector_behavior(world: World):
                     continue
                 seen.add(ctx.serial)
                 counts = world.superposition_census(ctx)
-                rec = DetectionRecord(
-                    instant=sched.clock,
-                    detector=index,
-                    ctx_serial=ctx.serial,
-                    size=sum(counts),
-                    state_counts=counts,
-                    measured=world.measure_enabled,
+                world.stats.detections.append(
+                    DetectionRecord(sched.clock, index, ctx.serial, counts)
                 )
-                world.stats.detections.append(rec)
-                if world.measure_enabled:
-                    sched.generate(ctx.measure, ())
+                sched.generate(ctx.measure, ())
         yield COOPERATE  # an Await now would find this instant's contacts again
 
 

@@ -1,50 +1,13 @@
 """Scenario definition: the text format, its specs, the world they build,
 and the drivers that run it.
 
-A scenario is a small line-based text file:
+A scenario is a small line-based text file of ``[section]`` headers and
+``key=value`` lines, written out in full in README.md's "Scenario files"
+section.
 
-    # comment
-    [grid]
-    width=80
-    height=80
-    base=6              # optional, 2..6, default 6
-
-    [wall]              # one section per rectangle, inclusive coordinates
-    x0=1
-    y0=55
-    x1=78
-    y1=55
-
-    [slit]              # a column interval carved through (or kept in) a wall
-    wall=0              # index of the wall, in file order
-    x0=30
-    x1=30
-    open=true           # false leaves the gap bricked up
-
-    [source]
-    x=40
-    y=75
-    state=0
-    direction=up        # for entangled sources: the first of the two beams
-    entangled=false
-    period=8            # instants between emissions
-    shots=1
-    # vx= / vy= optionally override the spawned particles' velocity, each
-    # within -1..1; an entangled source's back beam mirrors vy
-
-    [run]
-    instants=200
-    seed=42
-
-    [detector]          # inclusive rectangle plus the direction it accepts
-    x0=1
-    y0=20
-    x1=78
-    y1=20
-    kind=up
-
-Sections may repeat and appear in any order; keys are one per line; repeated
-[grid] and [run] sections merge. ``build_world`` spawns one ``emitter`` per
+Sections may repeat and appear in any order; keys are one per line, each at
+most once per section; repeated [grid] and [run] sections merge, and a key
+may not repeat across them. ``build_world`` spawns one ``emitter`` per
 source and one behavior for all detectors, which fire their first shots in
 the first instant run; a cell's behavior starts at its first trigger.
 """
@@ -59,7 +22,7 @@ from typing import Optional
 from .kernel import COOPERATE, Event
 from .measure import detector_behavior
 from .render import FrameBuffer
-from .stats import RunReport, digest_text, state_fractions
+from .stats import RunReport, digest_text
 from .world import (
     Cell,
     CellKind,
@@ -77,10 +40,6 @@ MAX_COVER = 4 * MAX_CELLS  # cells build_world visits over all walls, open slits
 
 class ScenarioError(Exception):
     """A scenario file or spec that cannot be built, with a location hint."""
-
-
-class DetectorNotReachedError(ScenarioError):
-    """A probed detector does not exist or saw no superposition in time."""
 
 
 @dataclass
@@ -224,6 +183,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS[section]:
             raise ScenarioError(f"line {lineno}: unknown [{section}] key {key!r}")
+        if key in fields:
+            raise ScenarioError(f"line {lineno}: repeated [{section}] key {key!r}")
         convert, expects = _KEYS[section][key]
         try:
             fields[key] = convert(value)
@@ -500,39 +461,3 @@ def run_scenario(
     world = build_world(spec)
     budget = instants if instants is not None else spec.run_length
     return run_world(world, budget, frames_dir, remanence, ascii_frames)
-
-
-class _Contact(Exception):
-    """Ends a probe run at the probed detector's first contact."""
-
-
-def expected_distribution(world: World, detector_index: int, instants: int):
-    """Per-state fractions of the superposition a detector would measure.
-
-    Runs the world with measurement disabled until the detector's first
-    contact, then reads the contacted superposition's census. The world must
-    be freshly built. Raises DetectorNotReachedError if the detector does not
-    exist (before running anything) or the run stops (quiet or budget) first.
-    """
-    if detector_index not in range(len(world.detectors)):
-        raise DetectorNotReachedError(
-            f"detector {detector_index} does not exist "
-            f"(the world has {len(world.detectors)})"
-        )
-    world.measure_enabled = False
-
-    def stop_at_contact(w: World, report):
-        for rec in w.stats.detections:
-            if rec.detector == detector_index:
-                raise _Contact(rec)
-
-    try:
-        executed = world.run(instants, on_instant=stop_at_contact)
-    except _Contact as contact:
-        return state_fractions(contact.args[0].state_counts)
-    if world.sched.is_quiet():
-        stop = f": the world went quiet after {executed} of {instants} instants"
-    else:
-        stop = f" within {instants} instants"
-    raise DetectorNotReachedError(f"detector {detector_index} saw no superposition{stop}")
-

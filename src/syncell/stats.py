@@ -8,22 +8,24 @@ from dataclasses import dataclass, field
 
 @dataclass
 class DetectionRecord:
-    """One detector contact with a superposition.
+    """One detector contact with a superposition, which the contact measures.
 
     ``state_counts`` is the per-basic-state census of every cell of the
     contacted superposition at the contact instant (the whole superposition,
     not only the zone slice). Its outcome is the state of the reduction with
-    its ``ctx_serial``, which probe-mode contacts (measurement disabled) and
-    unresolved measurements lack. The record keeps the context's serial,
-    never the context.
+    its ``ctx_serial``, which an unresolved measurement lacks. The record
+    keeps the context's serial, never the context.
     """
 
     instant: int
     detector: int
     ctx_serial: int
-    size: int
     state_counts: tuple[int, ...]
-    measured: bool
+
+    @property
+    def size(self) -> int:
+        """How many cells the contacted superposition had."""
+        return sum(self.state_counts)
 
 
 @dataclass
@@ -42,14 +44,6 @@ class RunStats:
 
     detections: list[DetectionRecord] = field(default_factory=list)
     reductions: list[ReductionRecord] = field(default_factory=list)
-
-
-def state_fractions(counts) -> dict[int, float]:
-    """Per-state fractions of a superposition census; empty census -> {}."""
-    total = sum(counts)
-    if total == 0:
-        return {}
-    return {s: n / total for s, n in enumerate(counts) if n}
 
 
 @dataclass
@@ -73,8 +67,8 @@ class RunReport:
         counts = [[0] * base for _ in range(n_det)]
         sizes: list[list[int]] = [[] for _ in range(n_det)]
         outcomes = {r.ctx_serial: r.state for r in world.stats.reductions}
-        measured = [det for det in world.stats.detections if det.measured]
-        for det in measured:
+        detections = world.stats.detections
+        for det in detections:
             sizes[det.detector].append(det.size)
             if det.ctx_serial in outcomes:
                 counts[det.detector][outcomes[det.ctx_serial]] += 1
@@ -87,7 +81,7 @@ class RunReport:
             detector_counts=counts,
             detector_sizes=sizes,
             detections_total=total,
-            unresolved=len(measured) - total,
+            unresolved=len(detections) - total,
             ctx_collisions=world.ctx_collisions,
         )
 

@@ -175,7 +175,6 @@ class World:
         self.zone_cells: set[Cell] = set()  # each generates on contact when visible
         self.contact = self.sched.new_event()
         self.stats = RunStats()
-        self.measure_enabled = True
         self.ctx_collisions = 0
         self.scenario_digest = "-"
         self._ctx_serial = 0

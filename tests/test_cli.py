@@ -332,48 +332,6 @@ def test_compare_needs_an_open_slit(tmp_path):
     assert main(["compare", "--scenario", str(scn)]) == EXIT_SCENARIO
 
 
-def test_expected_distribution_reads_the_first_contact():
-    from syncell.scenario import build_world, expected_distribution, parse_scenario
-    from test_measure import measured_contacts
-
-    world = build_world(parse_scenario(SMALL))
-    fractions = expected_distribution(world, 0, 100)
-    assert abs(sum(fractions.values()) - 1.0) < 1e-9
-    assert all(0 < f <= 1 for f in fractions.values())
-    # probing never measures: no outcome, no particle
-    assert measured_contacts(world) == 0
-    assert world.particles == []
-
-
-def test_expected_distribution_errors_when_nothing_arrives():
-    from syncell.scenario import (
-        DetectorNotReachedError,
-        build_world,
-        expected_distribution,
-        parse_scenario,
-    )
-
-    silent = SMALL.replace("shots=2", "shots=0")
-    world = build_world(parse_scenario(silent))
-    with pytest.raises(DetectorNotReachedError):
-        expected_distribution(world, 0, 50)
-
-
-@pytest.mark.parametrize("index", [3, -1])
-def test_expected_distribution_rejects_a_missing_detector_before_running(index):
-    from syncell.scenario import (
-        DetectorNotReachedError,
-        build_world,
-        expected_distribution,
-        load_scenario,
-    )
-
-    world = build_world(load_scenario(ROOT / "scenarios" / "single.scn"))
-    with pytest.raises(DetectorNotReachedError, match=f"detector {index} does not exist"):
-        expected_distribution(world, index, 2000)
-    assert world.sched.clock == 0
-
-
 def python(*args):
     """Run a fresh interpreter on this checkout's ``src``."""
     env = dict(os.environ)

@@ -133,7 +133,7 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
     instant ``(instant, detector, ctx serial, size, counts, chosen)`` and the
     reductions new in it ``(instant, ctx serial, cell id, state)``; a
     detection's ``chosen`` is the state of the reduction with its ctx serial
-    so far, for a measured detection, else None. The last link also covers
+    so far, else None (its collapse has not ended). The last link also covers
     every detection's final chosen state. Event ids are left
     out: they number allocations, not behavior. ``prepare``, if given, is
     called on the built world before its first instant. Returns one link per
@@ -149,8 +149,6 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
     seen = {"link": b"", "detections": 0, "reductions": 0}
 
     def chosen(d):
-        if not d.measured:
-            return None
         return next((r.state for r in stats.reductions if r.ctx_serial == d.ctx_serial), None)
 
     def traced():

@@ -12,14 +12,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from syncell import AwaitCollect, COOPERATE, DOWN, UP, World, load_scenario, measure
 from syncell.measure import REDUCE_WINDOW, choose
 from syncell.scenario import (
-    DetectorNotReachedError,
     DetectorSpec,
     ScenarioSpec,
     SlitSpec,
     SourceSpec,
     WallSpec,
     build_world,
-    expected_distribution,
     run_world,
 )
 
@@ -35,8 +33,8 @@ def cells_of(grid):
 
 
 def measured_contacts(w, detector=0):
-    """How many superpositions ``detector`` measured (contacts that fired)."""
-    return sum(rec.measured for rec in w.stats.detections if rec.detector == detector)
+    """How many superpositions ``detector`` measured (one record each)."""
+    return sum(rec.detector == detector for rec in w.stats.detections)
 
 
 def test_choose_singleton_and_membership():
@@ -125,7 +123,6 @@ def test_detection_fires_once_and_resolves():
     assert rec.size == 2 * 9 + 1
     [red] = w.stats.reductions
     assert red.ctx_serial == rec.ctx_serial
-    assert sum(rec.state_counts) == rec.size
 
 
 def test_collapse_window_and_silence_after_measurement():
@@ -190,14 +187,6 @@ def test_report_matches_each_measured_detection_to_its_reduction():
     assert report.detector_counts == [[0] * w.base] * 2
     assert (report.detections_total, report.unresolved) == (0, 2)
 
-    # a probe-mode contact is neither counted nor unresolved
-    w = single_shot_world()
-    w.measure_enabled = False
-    report = run_world(w, 80)
-    assert len(w.stats.detections) == 1
-    assert report.detector_counts == [[0] * w.base] and report.detector_sizes == [[]]
-    assert (report.detections_total, report.unresolved) == (0, 0)
-
 
 def test_detector_ignores_opposite_direction():
     spec = ScenarioSpec(
@@ -232,52 +221,16 @@ def test_detector_dedups_by_context_not_by_cell():
     assert measured_contacts(world) == 2
 
 
-def test_probe_mode_records_contacts_without_measuring():
-    w = single_shot_world()
-    w.measure_enabled = False
-    w.run(80)
-    assert measured_contacts(w) == 0
-    [rec] = w.stats.detections
-    assert rec.measured is False and w.stats.reductions == []
-    assert w.particles == []
-
-
-def test_probe_run_goes_quiet_once_the_emitter_is_done():
-    # no particle is born while measurement is off, and the detector waits on
-    # contacts: nothing keeps the world running after the last wavefront
-    w = build_world(load_scenario(SCENARIOS / "single.scn"))
-    w.measure_enabled = False
-    assert w.run(2000) == 229
-    assert w.sched.is_quiet()
+def test_single_scn_measures_one_shot_every_period():
+    # single.scn's five shots, 40 instants apart, each reach the detector 39
+    # instants after they fire
+    spec = load_scenario(SCENARIOS / "single.scn")
+    w = build_world(spec)
+    w.run(230)
     assert [rec.instant for rec in w.stats.detections] == [39, 79, 119, 159, 199]
-
-
-def test_probe_of_a_silent_source_stops_at_once():
-    spec = load_scenario(SCENARIOS / "single.scn")
+    # a source that never fires leaves nothing for the waiting detector
     silent = replace(spec, sources=[replace(spec.sources[0], shots=0)])
-    w = build_world(silent)
-    with pytest.raises(DetectorNotReachedError):
-        expected_distribution(w, 0, 10_000)
-    assert w.sched.clock == 1
-
-
-def test_probe_error_says_the_world_went_quiet_and_when():
-    spec = load_scenario(SCENARIOS / "single.scn")
-    silent = replace(spec, sources=[replace(spec.sources[0], shots=0)])
-    with pytest.raises(DetectorNotReachedError) as info:
-        expected_distribution(build_world(silent), 0, 10_000)
-    assert str(info.value) == (
-        "detector 0 saw no superposition: the world went quiet after 1 of 10000 instants"
-    )
-
-
-def test_probe_error_says_the_budget_ran_out():
-    # the first wavefront reaches single.scn's detector at instant 39
-    w = build_world(load_scenario(SCENARIOS / "single.scn"))
-    with pytest.raises(DetectorNotReachedError) as info:
-        expected_distribution(w, 0, 10)
-    assert str(info.value) == "detector 0 saw no superposition within 10 instants"
-    assert w.sched.clock == 10 and not w.sched.is_quiet()
+    assert build_world(silent).run(10_000) == 1
 
 
 def test_empty_zone_never_detects():
@@ -401,7 +354,6 @@ def test_generated_collapses_end_in_their_window_and_particles_avoid_walls(spec)
             assert grid.cell(x, y) is not None, p
 
     w.run(_horizon(spec), on_instant=check_instant)
-    assert all(rec.measured for rec in w.stats.detections)
     ended = [
         (rec.ctx_serial, rec.instant)
         for rec in w.stats.detections
@@ -454,16 +406,14 @@ TWO_BY_TWO = ScenarioSpec(
 @given(_measured_worlds())
 @example(TWO_BY_TWO)
 def test_contact_driven_detectors_record_what_zone_polling_records(spec):
-    for measure_enabled in (True, False):
-        w = build_world(spec)
-        w.measure_enabled = measure_enabled
-        polled = polling_detections(w)
-        w.run(_horizon(spec))
-        recorded = [
-            (rec.instant, rec.detector, rec.ctx_serial, rec.state_counts)
-            for rec in w.stats.detections
-        ]
-        assert recorded == polled
+    w = build_world(spec)
+    polled = polling_detections(w)
+    w.run(_horizon(spec))
+    recorded = [
+        (rec.instant, rec.detector, rec.ctx_serial, rec.state_counts)
+        for rec in w.stats.detections
+    ]
+    assert recorded == polled
 
 
 def test_one_detector_behavior_serves_every_detector():

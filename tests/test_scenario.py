@@ -114,12 +114,29 @@ def test_parse_happy_path():
         # only \n, \r\n and a lone \r end a line: a form feed does not
         ("[grid]\nwidth=10\nheight=10 # \x0c\n[run]\ninstants=x\n", "line 5: instants expects"),
         ("[grid]\r\nwidth=10\rheight=10\r\n[run]\rinstants=x\n", "line 5: instants expects"),
+        # a key is given once: in its section, and across merged [grid] / [run] sections
+        ("[grid]\nwidth=9\nwidth=11\nheight=9\n", "line 3: repeated [grid] key 'width'"),
+        ("[grid]\nwidth=9\nheight=9\n[source]\nx=4\nx=5\ny=4\n", "line 6: repeated [source] key 'x'"),
+        ("[grid]\nwidth=9\n[run]\nseed=1\n[grid]\nwidth=9\nheight=9\n", "line 6: repeated [grid] key 'width'"),
+        ("[grid]\nwidth=9\nheight=9\n[run]\nseed=1\n[run]\nseed=1\n", "line 7: repeated [run] key 'seed'"),
     ],
 )
 def test_parse_errors_carry_line_information(text, fragment):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert fragment in str(err.value)
+
+
+def test_the_readme_example_parses_and_builds():
+    # README.md's "Scenario files" block is the format's one full example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    spec = parse_scenario(example)
+    assert (spec.width, spec.height) == (200, 200)
+    assert (len(spec.walls), len(spec.slits), len(spec.detectors)) == (1, 1, 1)
+    world = build_world(spec)
+    assert world.detectors == spec.detectors
 
 
 def test_a_next_line_or_line_separator_does_not_end_a_line():
@@ -739,8 +756,7 @@ def test_every_shot_reaches_the_detector_in_the_same_superposition():
         seed=8,
     )
     w = build_world(spec)
-    w.measure_enabled = False
     w.run(150)
     censuses = {rec.state_counts for rec in w.stats.detections}
     assert len(w.stats.detections) == 3
-    assert len(censuses) == 1
+    assert censuses == {(7, 7, 2, 3, 4, 11)}

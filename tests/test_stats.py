@@ -5,7 +5,6 @@ from syncell.stats import (
     RunReport,
     frequency_csv,
     frequency_text,
-    state_fractions,
 )
 
 
@@ -46,14 +45,6 @@ def test_single_state_gives_a_unit_entry():
     report = report_with_counts([0, 0, 250, 0, 0, 0])
     row = FrequencyRow.from_counts("run0", report.detector_counts, report.base)
     assert row.fractions[2] == 1.0 and sum(row.fractions) == 1.0
-
-
-def test_state_fractions_arithmetic():
-    # census of a 4-cell superposition holding [0, 0, 2, 3]
-    assert state_fractions((2, 0, 1, 1, 0, 0)) == {0: 0.5, 2: 0.25, 3: 0.25}
-    assert state_fractions((0,) * 6) == {}
-    fractions = state_fractions((3, 1, 4, 1, 5, 9))
-    assert abs(sum(fractions.values()) - 1.0) < 1e-9
 
 
 def test_stats_csv_shape_and_totals():
