@@ -306,6 +306,14 @@ def test_a_negative_instants_in_the_file_exits_2(tmp_path, capsys, command):
     assert "line 20: instants expects an integer >= 0, got '-5'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_repeated_key_exits_2_naming_its_line(tmp_path, capsys, command):
+    scn = tmp_path / "repeated.scn"
+    scn.write_text("[grid]\nwidth=9\nwidth=9\nheight=9\n")
+    assert main([command, "--scenario", str(scn)]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == "scenario error: line 3: repeated [grid] key 'width'\n"
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -228,9 +228,17 @@ def test_single_scn_measures_one_shot_every_period():
     w = build_world(spec)
     w.run(230)
     assert [rec.instant for rec in w.stats.detections] == [39, 79, 119, 159, 199]
-    # a source that never fires leaves nothing for the waiting detector
+
+
+def test_a_silent_source_leaves_the_waiting_detector_nothing():
+    # the detector waits on contacts, so a source that never fires lets the
+    # world go quiet after its first instant
+    spec = load_scenario(SCENARIOS / "single.scn")
     silent = replace(spec, sources=[replace(spec.sources[0], shots=0)])
-    assert build_world(silent).run(10_000) == 1
+    w = build_world(silent)
+    assert w.run(10_000) == 1
+    assert w.sched.is_quiet() and w.sched.clock == 1
+    assert w.stats.detections == [] and w.stats.reductions == []
 
 
 def test_empty_zone_never_detects():

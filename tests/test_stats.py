@@ -1,6 +1,7 @@
 """Frequency tables, fractions, and report stability."""
 
 from syncell.stats import (
+    DetectionRecord,
     FrequencyRow,
     RunReport,
     frequency_csv,
@@ -45,6 +46,13 @@ def test_single_state_gives_a_unit_entry():
     report = report_with_counts([0, 0, 250, 0, 0, 0])
     row = FrequencyRow.from_counts("run0", report.detector_counts, report.base)
     assert row.fractions[2] == 1.0 and sum(row.fractions) == 1.0
+
+
+def test_a_detection_size_is_its_census_total():
+    # census of a 4-cell superposition holding [0, 0, 2, 3]; size is not stored
+    rec = DetectionRecord(instant=5, detector=0, ctx_serial=1, state_counts=(2, 0, 1, 1, 0, 0))
+    assert rec.size == 4
+    assert DetectionRecord(0, 0, 1, (0,) * 6).size == 0
 
 
 def test_stats_csv_shape_and_totals():
