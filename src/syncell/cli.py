@@ -149,6 +149,12 @@ def main(argv=None) -> int:
         parser.error(f"--runs must be at least 1, got {args.runs}")
     if args.command == "compare" and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.command == "run" and args.frames is None and (args.ascii or args.remanence):
+        parser.error("--ascii and --remanence only shape frames: they need --frames DIR")
+    for option in ("stats", "report", "out"):  # checked before any instant runs
+        path = getattr(args, option, None)
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            parser.error(f"--{option} {path}: not a file path in an existing directory")
     try:
         if args.command == "run":
             spec = load_scenario(args.scenario)

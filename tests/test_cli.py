@@ -298,6 +298,42 @@ def test_out_of_range_counts_exit_2(small_file, capsys, argv, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--ascii"], ["--remanence"], ["--ascii", "--remanence"]])
+def test_frame_flags_without_frames_exit_2(small_file, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", small_file] + flags)
+    assert exc.value.code == EXIT_SCENARIO
+    assert "need --frames DIR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, where",
+    [
+        ("run", "--report", "missing/r.txt"),
+        ("run", "--stats", "missing/s.csv"),
+        ("run", "--report", "."),
+        ("compare", "--out", "missing/o.csv"),
+    ],
+)
+def test_a_bad_output_path_exits_2_before_any_instant(
+    tmp_path, capsys, monkeypatch, command, option, where
+):
+    import syncell.world as world_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an instant ran")
+
+    monkeypatch.setattr(world_mod.World, "run", no_run)
+    scn = tmp_path / "two_slit.scn"
+    scn.write_text(TWO_SLIT)
+    path = str(tmp_path / where)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(scn), option, path])
+    assert exc.value.code == EXIT_SCENARIO
+    assert f"{option} {path}: not a file path in an existing directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["two_slit.scn"]
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_negative_instants_in_the_file_exits_2(tmp_path, capsys, command):
     scn = tmp_path / "negative.scn"

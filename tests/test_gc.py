@@ -1,8 +1,10 @@
 """The cyclic collector is paused during ``build_world`` and ``World.run``:
 neither makes cyclic garbage, the caller's collector state comes back, and a
-world is still freed."""
+world is still freed. A started cell parked on its trigger keeps nothing of
+its last cycle."""
 
 import gc
+import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -10,9 +12,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from syncell import COOPERATE, ScenarioError, World, build_world, load_scenario, scenario
+from syncell import (
+    COOPERATE,
+    ScenarioError,
+    World,
+    build_world,
+    load_scenario,
+    parse_scenario,
+    scenario,
+)
 from syncell.kernel import Await, DivergenceError, Scheduler
 from syncell.scenario import WallSpec
+from syncell.world import MeasurementContext, cell_behavior
 
 from test_measure import _measured_worlds
 
@@ -134,3 +145,83 @@ def test_a_world_dropped_after_run_scenario_is_freed(monkeypatch):
     scenario.run_scenario(replace(spec, seed=3), instants=60)
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
+
+
+# -- a parked cell --------------------------------------------------------------
+
+FREE_SPACE = """
+[grid]
+width=101
+height=101
+
+[source]
+x=50
+y=99
+state=0
+direction=up
+period=40
+shots=3
+"""
+
+
+def started_cells(world):
+    return [
+        c
+        for y in range(world.grid.height)
+        for x in range(world.grid.width)
+        if (c := world.grid.cell(x, y)) is not None and c.kind is not None
+    ]
+
+
+def cell_frame_locals(world):
+    """The cell -> frame locals of every ``cell_behavior`` of ``world``."""
+    frames = {}
+    for obj in gc.get_objects():
+        if isinstance(obj, types.GeneratorType) and obj.gi_code is cell_behavior.__code__:
+            f_locals = obj.gi_frame.f_locals
+            if f_locals["world"] is world:
+                assert f_locals["c"] not in frames
+                frames[f_locals["c"]] = dict(f_locals)
+    return frames
+
+
+@pytest.mark.parametrize(
+    "text, instants, collapses",
+    [
+        (FREE_SPACE, 120, False),
+        ((SCENARIOS / "single.scn").read_text(), 220, True),
+        ((SCENARIOS / "entangled.scn").read_text(), 400, True),
+    ],
+    ids=["wavefront", "measured", "entangled"],
+)
+def test_a_parked_cell_keeps_nothing_of_its_last_cycle(text, instants, collapses):
+    spec = parse_scenario(text)
+    world = build_world(spec)
+    world.run(instants)
+    assert bool(world.stats.reductions) is collapses
+    frames = cell_frame_locals(world)
+    started = started_cells(world)
+    assert frames.keys() == set(started)
+    parked = [c for c in started if c not in world.visible]
+    assert len(parked) > 100
+    for c in parked:
+        held = [
+            name
+            for name, value in frames[c].items()
+            if isinstance(value, (list, tuple, MeasurementContext))
+        ]
+        assert held == [], f"parked cell ({c.x},{c.y}) holds {held}"
+
+
+def test_a_started_cell_adds_fewer_than_five_tracked_objects():
+    # its generator (and on 3.10 a separate frame), the AwaitCollect it parks
+    # on and its waiter entry on its own trigger
+    world = build_world(parse_scenario(FREE_SPACE))
+    gc.collect()
+    before = len(gc.get_objects())
+    world.run(120)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    started = len(started_cells(world))
+    assert started > 3000
+    assert added < 5 * started
