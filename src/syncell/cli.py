@@ -143,18 +143,23 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--out", default=None, metavar="FILE", help="write the CSV table")
 
     args = parser.parse_args(argv)
+    # usage errors name the subcommand's usage; all are checked before any instant runs
+    usage = p_run if args.command == "run" else p_cmp
     if args.instants is not None and args.instants < 0:
-        parser.error(f"--instants must be at least 0, got {args.instants}")
+        usage.error(f"--instants must be at least 0, got {args.instants}")
     if args.command == "compare" and args.runs < 1:
-        parser.error(f"--runs must be at least 1, got {args.runs}")
+        usage.error(f"--runs must be at least 1, got {args.runs}")
     if args.command == "compare" and args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+        usage.error(f"--jobs must be at least 1, got {args.jobs}")
     if args.command == "run" and args.frames is None and (args.ascii or args.remanence):
-        parser.error("--ascii and --remanence only shape frames: they need --frames DIR")
-    for option in ("stats", "report", "out"):  # checked before any instant runs
+        usage.error("--ascii and --remanence only shape frames: they need --frames DIR")
+    frames = getattr(args, "frames", None)
+    if frames and os.path.exists(frames) and not os.path.isdir(frames):
+        usage.error(f"--frames {frames}: an existing file, not a directory")
+    for option in ("stats", "report", "out"):
         path = getattr(args, option, None)
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-            parser.error(f"--{option} {path}: not a file path in an existing directory")
+            usage.error(f"--{option} {path}: not a file path in an existing directory")
     try:
         if args.command == "run":
             spec = load_scenario(args.scenario)

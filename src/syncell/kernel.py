@@ -64,14 +64,14 @@ class DivergenceError(KernelError):
 
 
 class Event:
-    """A broadcast channel. Values are scoped to one instant; the event is
-    present in an instant once a value has been generated on it. Each open
-    site of a world is one, a ``world.Cell``, numbered by ``new_event_ids``."""
+    """A broadcast channel: its values and its waiters, no identity besides the
+    object. Values are scoped to one instant; the event is present in an
+    instant once a value has been generated on it. Each open site of a world
+    is one, a ``world.Cell``."""
 
-    __slots__ = ("eid", "values", "waiters")
+    __slots__ = ("values", "waiters")
 
-    def __init__(self, eid: int):
-        self.eid = eid
+    def __init__(self):
         self.values: list = []
         # parked behaviors: (bid, gen, None) awaits, (bid, gen, self) collects
         self.waiters: list[tuple] = []
@@ -81,7 +81,7 @@ class Event:
         return bool(self.values)
 
     def __repr__(self):
-        return f"Event({self.eid}, present={self.present}, values={self.values!r})"
+        return f"Event(present={self.present}, values={self.values!r})"
 
 
 class Await:
@@ -131,7 +131,7 @@ class InstantReport:
 
 
 class Scheduler:
-    """Drives behaviors through instants; owns all events it hands out.
+    """Drives behaviors through instants; ``new_event`` makes a fresh event.
 
     ``clock``, the next instant to run, is read-only: ``run_instant`` advances it."""
 
@@ -146,16 +146,10 @@ class Scheduler:
         self._touched: list[Event] = []
         # one byte per spawn id given out: 0 fresh, 1 reserved and free, 2 held
         self._ids = bytearray()
-        self._next_eid = 0
         self.alive = 0
 
     def new_event(self) -> Event:
-        return Event(self.new_event_ids(1)[0])
-
-    def new_event_ids(self, n: int) -> range:
-        """Hand out ``n`` consecutive fresh event ids for ``Event`` subclasses."""
-        self._next_eid += n
-        return range(self._next_eid - n, self._next_eid)
+        return Event()
 
     def reserve(self, n: int) -> range:
         """Set aside ``n`` consecutive spawn ids for ``spawn(gen, bid)``; each is

@@ -96,6 +96,4 @@ def reduce(world: World, c: Cell):
             vx, vy = 0.0, float(c.kind.value)
         p = RealParticle(c.x + 0.5, c.y + 0.5, vx, vy, state)
         world.add_particle(p)
-        world.stats.reductions.append(
-            ReductionRecord(sched.clock, ctx.serial, ctx.measure.eid, me, state)
-        )
+        world.stats.reductions.append(ReductionRecord(sched.clock, ctx.serial, me, state))

@@ -32,7 +32,6 @@ class DetectionRecord:
 class ReductionRecord:
     instant: int
     ctx_serial: int
-    measure_eid: int
     cell_id: int
     state: int
 

@@ -100,9 +100,8 @@ class Cell(Event):
 
     __slots__ = ("x", "y", "kind", "basic_state", "ctx")
 
-    def __init__(self, x: int, y: int, eid: int):
+    def __init__(self, x: int, y: int):
         # Event's fields too: an Event.__init__ call per open site slows the build
-        self.eid = eid
         self.values: list = []
         self.waiters: list[tuple] = []
         self.x = x
@@ -121,9 +120,9 @@ class Grid:
     ``walls`` holds one byte per site in row-major order, 1 for a wall; the
     border ring is wall whatever the given mask says there. Every other site
     gets one object, a ``Cell`` that is also its trigger event, made in
-    row-major order under one block of event ids; ``cell`` is None at a wall."""
+    row-major order; ``cell`` is None at a wall."""
 
-    def __init__(self, width: int, height: int, sched: Scheduler, walls: Optional[bytes] = None):
+    def __init__(self, width: int, height: int, walls: Optional[bytes] = None):
         if width < 3 or height < 3:
             raise ValueError("grid needs at least a border ring plus interior")
         mask = bytearray(width * height) if walls is None else bytearray(walls)
@@ -134,10 +133,8 @@ class Grid:
         self.width = width
         self.height = height
         self.walls = bytes(mask)
-        eids = iter(sched.new_event_ids(self.walls.count(0)))
         self._cells = [
-            None if wall else Cell(i % width, i // width, next(eids))
-            for i, wall in enumerate(self.walls)
+            None if wall else Cell(i % width, i // width) for i, wall in enumerate(self.walls)
         ]
 
     def cell(self, x: int, y: int) -> Optional[Cell]:
@@ -162,7 +159,7 @@ class World:
     ):
         self.sched = Scheduler()
         self.sched.reserve(width * height)  # a cell's spawn id is its Grid.linear
-        self.grid = Grid(width, height, self.sched, walls)
+        self.grid = Grid(width, height, walls)
         self.rng = random.Random(seed)
         self.seed = seed
         self.base = base

@@ -275,11 +275,18 @@ def test_criterion_6_entanglement():
     spec = load_scenario(SCENARIOS / "entangled.scn")
     world = build_world(spec)
     log = InstantLog()
-    world.run(spec.run_length, on_instant=log)
+    measure_of = {}  # context serial -> its measurement event, read while visible
 
-    pairs = defaultdict(list)
+    def watch(world, report):
+        log(world, report)
+        for ctx in world.visible.values():
+            assert measure_of.setdefault(ctx.serial, ctx.measure) is ctx.measure
+
+    world.run(spec.run_length, on_instant=watch)
+
+    pairs = defaultdict(list)  # by the measurement event object itself
     for red in world.stats.reductions:
-        pairs[red.measure_eid].append(red)
+        pairs[measure_of[red.ctx_serial]].append(red)
     assert len(pairs) == 100
     detected_at = {rec.ctx_serial: rec.instant for rec in world.stats.detections}
     measured = []

@@ -295,7 +295,9 @@ def test_out_of_range_counts_exit_2(small_file, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--scenario", small_file] + argv[1:])
     assert exc.value.code == EXIT_SCENARIO
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: syncell {argv[0]} ")  # the subcommand's usage
+    assert fragment in err
 
 
 @pytest.mark.parametrize("flags", [["--ascii"], ["--remanence"], ["--ascii", "--remanence"]])
@@ -303,7 +305,26 @@ def test_frame_flags_without_frames_exit_2(small_file, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", small_file] + flags)
     assert exc.value.code == EXIT_SCENARIO
-    assert "need --frames DIR" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: syncell run ")
+    assert "need --frames DIR" in err
+
+
+def test_frames_onto_an_existing_file_exits_2_before_reading_the_scenario(
+    tmp_path, capsys, monkeypatch
+):
+    def no_read(path):
+        raise AssertionError("the scenario was read")
+
+    monkeypatch.setattr(cli, "load_scenario", no_read)
+    frames = tmp_path / "frames"
+    frames.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(tmp_path / "any.scn"), "--frames", str(frames)])
+    assert exc.value.code == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith("usage: syncell run ")
+    assert f"--frames {frames}: an existing file, not a directory" in err
 
 
 @pytest.mark.parametrize(
@@ -330,7 +351,9 @@ def test_a_bad_output_path_exits_2_before_any_instant(
     with pytest.raises(SystemExit) as exc:
         main([command, "--scenario", str(scn), option, path])
     assert exc.value.code == EXIT_SCENARIO
-    assert f"{option} {path}: not a file path in an existing directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: syncell {command} ")
+    assert f"{option} {path}: not a file path in an existing directory" in err
     assert [p.name for p in tmp_path.iterdir()] == ["two_slit.scn"]
 
 

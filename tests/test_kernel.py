@@ -23,12 +23,11 @@ def drive(sched, instants):
 
 def test_new_event_is_fresh_and_unique():
     s = Scheduler()
-    a = s.new_event()
-    block = s.new_event_ids(3)
-    b = s.new_event()
-    assert a.present is False and a.values == []
-    assert a.eid != b.eid
-    assert len(block) == 3 and len({a.eid, b.eid, *block, s.new_event().eid}) == 6
+    a, b = s.new_event(), s.new_event()
+    assert a is not b
+    for e in (a, b):
+        assert e.present is False and e.values == [] and e.waiters == []
+    assert a.values is not b.values and a.waiters is not b.waiters
 
 
 def test_event_outlives_instants_with_cleared_buffers():
