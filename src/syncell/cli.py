@@ -154,8 +154,14 @@ def main(argv=None) -> int:
     if args.command == "run" and args.frames is None and (args.ascii or args.remanence):
         usage.error("--ascii and --remanence only shape frames: they need --frames DIR")
     frames = getattr(args, "frames", None)
-    if frames and os.path.exists(frames) and not os.path.isdir(frames):
-        usage.error(f"--frames {frames}: an existing file, not a directory")
+    if frames == "":
+        usage.error("--frames needs a directory, got an empty path")
+    existing = frames  # its nearest existing ancestor must be a directory
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        under = "" if existing == frames else f"{existing} is "
+        usage.error(f"--frames {frames}: {under}an existing file, not a directory")
     for option in ("stats", "report", "out"):
         path = getattr(args, option, None)
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):

@@ -4,7 +4,7 @@ Time advances in discrete *instants*. During the active phase of an instant,
 runnable behaviors take micro-steps until every behavior is suspended or
 finished; everything that happens inside one instant counts as simultaneous.
 The end-of-instant phase then snapshots the values collected on each event
-and clears all event buffers, after which the clock advances.
+and puts every event back at rest, after which the clock advances.
 
 A behavior is a generator. It suspends by yielding a command, a description
 the kernel only reads, so any behavior may yield one command object again:
@@ -67,14 +67,18 @@ class Event:
     """A broadcast channel: its values and its waiters, no identity besides the
     object. Values are scoped to one instant; the event is present in an
     instant once a value has been generated on it. Each open site of a world
-    is one, a ``world.Cell``."""
+    is one, a ``world.Cell``.
+
+    At rest both fields are the shared empty tuple: ``values`` is a list only
+    while the running instant has generated on the event, ``waiters`` only
+    while behaviors are parked on it. Test them by truth, not by type."""
 
     __slots__ = ("values", "waiters")
 
     def __init__(self):
-        self.values: list = []
+        self.values: list | tuple = ()
         # parked behaviors: (bid, gen, None) awaits, (bid, gen, self) collects
-        self.waiters: list[tuple] = []
+        self.waiters: list[tuple] | tuple = ()
 
     @property
     def present(self) -> bool:
@@ -178,23 +182,27 @@ class Scheduler:
 
         Only legal during the active phase: generation at the end of an
         instant, or between instants, would make "all values of the instant"
-        ill-defined and is rejected.
+        ill-defined and is rejected. The first value of the instant gives the
+        event a fresh values list; waking its waiters hands their list to the
+        run and leaves the event with none.
         """
         if not self._active:
             raise PhaseError(
                 "generate is only allowed during the active phase of an instant"
             )
         values = event.values
-        if not values:
+        if values:
+            values.append(value)
+        else:
+            event.values = [value]
             self._touched.append(event)
-        values.append(value)
         waiters = event.waiters
         if waiters:
+            event.waiters = ()
             if len(waiters) > 1:
                 waiters.sort()  # by spawn id, which is unique
             for entry in waiters:
                 (self._run if entry[2] is None else self._collectors).append(entry)
-            waiters.clear()
 
     def run_instant(self) -> InstantReport:
         """Execute one full instant (active phase, then end-of-instant)."""
@@ -230,8 +238,10 @@ class Scheduler:
                     event = cmd.event
                     if event.values:
                         collectors.append((bid, gen, event))
-                    else:
+                    elif event.waiters:
                         event.waiters.append((bid, gen, event))
+                    else:
+                        event.waiters = [(bid, gen, event)]
                     break
                 if cls is Collect:
                     collectors.append((bid, gen, cmd.event))
@@ -241,12 +251,16 @@ class Scheduler:
                     if event.values:
                         value = None
                         continue
-                    event.waiters.append((bid, gen, None))
+                    if event.waiters:
+                        event.waiters.append((bid, gen, None))
+                    else:
+                        event.waiters = [(bid, gen, None)]
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
 
-        # End of instant: collectors see exactly this instant's values,
-        # then every touched event buffer is counted and reset.
+        # End of instant: each collector gets its own copy of exactly this
+        # instant's values, then every touched event is counted and put back
+        # at rest.
         self._active = False
         self._run = []
         for bid, gen, event in collectors:
@@ -255,7 +269,7 @@ class Scheduler:
         generated = 0
         for event in self._touched:
             generated += len(event.values)
-            event.values.clear()
+            event.values = ()
         self._touched = []
 
         self.clock = instant + 1

@@ -96,14 +96,16 @@ class Cell(Event):
     takes ``kind`` and ``ctx`` from the last activation, a plain ``(kind,
     basic_state, ctx)`` tuple; both are None until one first reaches the
     cell. The cell runs a behavior iff its ``kind`` is not None.
+
+    As an event it holds no list at rest: a cell never triggered holds none,
+    and a parked cell only the one-entry waiter list made when it parks.
     """
 
     __slots__ = ("x", "y", "kind", "basic_state", "ctx")
 
     def __init__(self, x: int, y: int):
-        # Event's fields too: an Event.__init__ call per open site slows the build
-        self.values: list = []
-        self.waiters: list[tuple] = []
+        # Event's fields at rest (an Event.__init__ call per open site slows the build)
+        self.values = self.waiters = ()
         self.x = x
         self.y = y
         self.kind: Optional[CellKind] = None

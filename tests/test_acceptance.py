@@ -85,7 +85,7 @@ def _trace_program(program):
     for _ in range(25):
         sched.run_instant()
         for e in events:
-            assert e.present is False and e.values == [], "buffer reset violated"
+            assert e.present is False and e.values == (), "buffer reset violated"
         if sched.is_quiet():
             break
     return trace

@@ -310,21 +310,33 @@ def test_frame_flags_without_frames_exit_2(small_file, capsys, flags):
     assert "need --frames DIR" in err
 
 
-def test_frames_onto_an_existing_file_exits_2_before_reading_the_scenario(
-    tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize(
+    "frames, fragment",
+    [
+        ("file", "--frames {frames}: an existing file, not a directory"),
+        ("file/sub", "--frames {frames}: {file} is an existing file, not a directory"),
+        ("file/sub/deeper/", "--frames {frames}: {file} is an existing file, not a directory"),
+        ("file/", "--frames {frames}: {file} is an existing file, not a directory"),
+        ("", "--frames needs a directory, got an empty path"),
+    ],
+)
+def test_frames_on_or_under_a_file_or_empty_exits_2_before_reading_the_scenario(
+    tmp_path, capsys, monkeypatch, frames, fragment
 ):
     def no_read(path):
         raise AssertionError("the scenario was read")
 
     monkeypatch.setattr(cli, "load_scenario", no_read)
-    frames = tmp_path / "frames"
-    frames.write_text("")
+    file = tmp_path / "file"
+    file.write_text("")
+    if frames:
+        frames = f"{tmp_path}/{frames}"  # keeps a trailing /
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--scenario", str(tmp_path / "any.scn"), "--frames", str(frames)])
+        main(["run", "--scenario", str(tmp_path / "any.scn"), "--frames", frames])
     assert exc.value.code == EXIT_SCENARIO
     err = capsys.readouterr().err
     assert err.startswith("usage: syncell run ")
-    assert f"--frames {frames}: an existing file, not a directory" in err
+    assert fragment.format(frames=frames, file=file) in err
 
 
 @pytest.mark.parametrize(

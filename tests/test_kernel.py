@@ -26,8 +26,18 @@ def test_new_event_is_fresh_and_unique():
     a, b = s.new_event(), s.new_event()
     assert a is not b
     for e in (a, b):
-        assert e.present is False and e.values == [] and e.waiters == []
-    assert a.values is not b.values and a.waiters is not b.waiters
+        assert e.present is False and e.values == () and e.waiters == ()
+
+    seen = []
+
+    def producer():
+        s.generate(a, 1)
+        seen.append((list(a.values), b.present, b.values))  # the shared () stays empty
+        yield COOPERATE
+
+    s.spawn(producer())
+    s.run_instant()
+    assert seen == [([1], False, ())]
 
 
 def test_event_outlives_instants_with_cleared_buffers():
@@ -195,7 +205,7 @@ def test_await_and_await_collect_share_one_event():
         s.spawn(gen)
     drive(s, 4)
     assert log == [("await", 1), ("collect", 2, [1, 2, 3])]
-    assert e.waiters == []
+    assert e.waiters == ()
 
 
 def test_woken_behavior_runs_after_every_admitted_behavior():
@@ -556,7 +566,7 @@ def test_generate_outside_active_phase_is_rejected():
     with pytest.raises(PhaseError):
         s.generate(e, 2)
     drive(s, 2)
-    assert e.values == [] and woke == []
+    assert e.values == () and woke == []
 
 
 def test_yielding_garbage_is_a_kernel_error():
@@ -824,7 +834,7 @@ def test_property_buffers_are_reset_at_every_instant_boundary(gens):
     for _ in range(7):
         sched.run_instant()
         for e in events:
-            assert e.present is False and e.values == []
+            assert e.present is False and e.values == ()
 
 
 def test_instant_start_admits_resumptions_and_between_instant_spawns_in_id_order():

@@ -224,11 +224,11 @@ def test_behavior_bookkeeping_with_source_and_detector():
     assert w.sched.alive == 3 and w.grid.cell(10, 15).kind is UP
 
 
-def test_young200_builds_in_9_mb_and_starts_only_the_cells_it_triggers():
+def test_young200_builds_in_4_5_mb_and_starts_only_the_cells_it_triggers():
     spec = load_scenario(SCENARIOS / "young200.scn")
-    # one suspended behavior per non-wall cell took 26.4 MB of this, and an
-    # event id per cell 1.5 MB more
-    assert build_peak_bytes(spec) <= 9_000_000
+    # one suspended behavior per non-wall cell took 26.4 MB of this, an event
+    # id per cell 1.5 MB more, and two empty lists per cell 4.3 MB more
+    assert build_peak_bytes(spec) <= 4_500_000
     w = build_world(spec)
     w.run(300)
     # 641 cells triggered by then, of 39,008, plus the emitter, the detector
@@ -238,15 +238,15 @@ def test_young200_builds_in_9_mb_and_starts_only_the_cells_it_triggers():
 
 
 def test_young200_builds_one_object_per_open_site():
-    """An open site is one ``Cell``, its own trigger event: with the event's
-    value and waiter lists, three GC-tracked objects. The rest of the world
-    is a few dozen."""
+    """An open site is one ``Cell``, its own trigger event, which holds no
+    value or waiter list at rest: one GC-tracked object. The rest of the
+    world is a few dozen."""
     spec = load_scenario(SCENARIOS / "young200.scn")
     gc.collect()
     before = len(gc.get_objects())
     w = build_world(spec)
     added = len(gc.get_objects()) - before
-    assert added <= 3 * len(cells_of(w.grid)) + 100
+    assert added <= len(cells_of(w.grid)) + 100
 
 
 @pytest.mark.parametrize(

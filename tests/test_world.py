@@ -3,7 +3,7 @@
 import pytest
 
 from syncell import COOPERATE, DOWN, UP, World
-from syncell.kernel import Await
+from syncell.kernel import Await, AwaitCollect, Collect
 from syncell.scenario import fire
 from syncell.world import awake_neighbourhood, cell_behavior, cell_reset
 
@@ -250,6 +250,40 @@ def test_cell_reset_leaves_pending_trigger_values_alone():
 
     in_active_phase(w, act)
     assert seen["values"] == ["pending"]
+
+
+def test_an_event_at_rest_holds_no_list():
+    """Values and waiters are the shared () at rest: in a fresh event, in a
+    cell never triggered, and in an event again once the instant that
+    generated, collected and awaited on it is over."""
+    w = open_world(15, 15)
+    e = w.sched.new_event()
+    assert (e.values, e.waiters) == ((), ())
+    fire_once(w, 7, 12)
+    got = []
+
+    def awaiter():
+        yield Await(e)
+        got.append(("await", w.sched.clock))
+
+    def collector(command):
+        got.append((command.__name__, (yield command(e))))
+
+    def producer():
+        yield COOPERATE
+        w.sched.generate(e, "v")
+
+    for gen in (awaiter(), collector(AwaitCollect), producer()):
+        w.sched.spawn(gen)
+    run_to(w, 1)
+    assert len(e.waiters) == 2  # the awaiter and the collector, parked
+    w.sched.spawn(collector(Collect))
+    run_to(w, 3)
+    assert got == [("await", 1), ("AwaitCollect", ["v"]), ("Collect", ["v"])]
+    assert (e.values, e.waiters) == ((), ())
+    # the fired cell parks on a one-entry list; one never reached holds none
+    assert len(w.grid.cell(7, 12).waiters) == 1
+    assert (w.grid.cell(2, 2).values, w.grid.cell(2, 2).waiters) == ((), ())
 
 
 def test_linear_is_injective_row_major():
