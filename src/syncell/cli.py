@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     if frames == "":
         usage.error("--frames needs a directory, got an empty path")
     existing = frames  # its nearest existing ancestor must be a directory
-    while existing and not os.path.exists(existing):
+    while existing and not os.path.lexists(existing):  # a dangling link exists
         existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
         under = "" if existing == frames else f"{existing} is "

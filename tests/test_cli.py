@@ -318,6 +318,8 @@ def test_frame_flags_without_frames_exit_2(small_file, capsys, flags):
         ("file/sub/deeper/", "--frames {frames}: {file} is an existing file, not a directory"),
         ("file/", "--frames {frames}: {file} is an existing file, not a directory"),
         ("", "--frames needs a directory, got an empty path"),
+        ("link", "--frames {frames}: an existing file, not a directory"),
+        ("link/sub", "--frames {frames}: {link} is an existing file, not a directory"),
     ],
 )
 def test_frames_on_or_under_a_file_or_empty_exits_2_before_reading_the_scenario(
@@ -329,6 +331,8 @@ def test_frames_on_or_under_a_file_or_empty_exits_2_before_reading_the_scenario(
     monkeypatch.setattr(cli, "load_scenario", no_read)
     file = tmp_path / "file"
     file.write_text("")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing")  # dangling
     if frames:
         frames = f"{tmp_path}/{frames}"  # keeps a trailing /
     with pytest.raises(SystemExit) as exc:
@@ -336,7 +340,7 @@ def test_frames_on_or_under_a_file_or_empty_exits_2_before_reading_the_scenario(
     assert exc.value.code == EXIT_SCENARIO
     err = capsys.readouterr().err
     assert err.startswith("usage: syncell run ")
-    assert fragment.format(frames=frames, file=file) in err
+    assert fragment.format(frames=frames, file=file, link=link) in err
 
 
 @pytest.mark.parametrize(

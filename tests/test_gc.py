@@ -4,6 +4,7 @@ world is still freed. A started cell parked on its trigger keeps nothing of
 its last cycle."""
 
 import gc
+import sys
 import types
 import weakref
 from dataclasses import replace
@@ -213,9 +214,11 @@ def test_a_parked_cell_keeps_nothing_of_its_last_cycle(text, instants, collapses
         assert held == [], f"parked cell ({c.x},{c.y}) holds {held}"
 
 
-def test_a_started_cell_adds_fewer_than_five_tracked_objects():
-    # its generator (and on 3.10 a separate frame), the AwaitCollect it parks
-    # on and its waiter entry on its own trigger
+def test_a_started_cell_adds_four_tracked_objects_and_a_frame_before_3_11():
+    # its generator, the AwaitCollect it parks on, its waiter entry on its own
+    # trigger and the one-entry waiter list made when it parks (a cell never
+    # triggered holds no list); before 3.11 the generator's frame is one more
+    per_cell = 4 if sys.version_info >= (3, 11) else 5
     world = build_world(parse_scenario(FREE_SPACE))
     gc.collect()
     before = len(gc.get_objects())
@@ -224,4 +227,4 @@ def test_a_started_cell_adds_fewer_than_five_tracked_objects():
     added = len(gc.get_objects()) - before
     started = len(started_cells(world))
     assert started > 3000
-    assert added < 5 * started
+    assert added < per_cell * started + 100
