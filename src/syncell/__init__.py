@@ -22,7 +22,6 @@ from .kernel import (
 )
 from .world import (
     Cell,
-    CellKind,
     DOWN,
     Grid,
     MeasurementContext,
@@ -48,7 +47,6 @@ __all__ = [
     "AwaitCollect",
     "COOPERATE",
     "Cell",
-    "CellKind",
     "Collect",
     "DOWN",
     "DivergenceError",

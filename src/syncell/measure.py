@@ -47,7 +47,7 @@ def detector_behavior(world: World):
         for index, (xs, ys, kind, seen) in enumerate(zones):
             for c in world.contact.values:
                 ctx = c.ctx
-                if ctx.serial in seen or c.kind is not kind or c.x not in xs or c.y not in ys:
+                if ctx.serial in seen or ctx.direction != kind or c.x not in xs or c.y not in ys:
                     continue
                 seen.add(ctx.serial)
                 counts = world.superposition_census(ctx)
@@ -62,27 +62,24 @@ def reduce(world: World, c: Cell):
     """One member cell's part of the collapse, run inside the cell's cycle.
 
     Measured at t, every member reports its identity on the roll-call
-    ``ctx.signal`` at t+3; the first to report (in spawn-id order) collects
-    them and broadcasts a uniform draw on it at t+4, which every member
-    collects. At T = t+5 the elected member takes the outcome its twin
-    broadcast on the measurement event, else broadcasts its own basic state,
-    launches the real particle and appends its ``ReductionRecord``. Nothing
-    else reads the event at T: the pair's cells collect it only at t's
-    parity, and elected members resume from the start list, before any
-    detector.
+    ``ctx.signal`` at t+3 and collects the reports; at t+4 the first to
+    report (in spawn-id order, so the first to run) broadcasts a uniform draw
+    of them on it, which every member collects. At T = t+5 the elected member
+    takes the outcome its twin broadcast on the measurement event, else
+    broadcasts its own basic state, launches the real particle and appends
+    its ``ReductionRecord``. Nothing else reads the event at T: the pair's
+    cells collect it only at t's parity, and elected members resume from the
+    start list, before any detector.
     """
     sched = world.sched
     ctx = c.ctx
     me = world.grid.linear(c.x, c.y)
     yield COOPERATE
     yield COOPERATE
-    elector = not ctx.signal.values
     sched.generate(ctx.signal, me)
-    if elector:
-        ids = yield Collect(ctx.signal)
+    ids = yield Collect(ctx.signal)
+    if ids[0] == me:
         sched.generate(ctx.signal, choose(ids, world.rng))
-    else:
-        yield COOPERATE
     [chosen] = yield Collect(ctx.signal)
     if chosen == me:
         if ctx.measure.values:  # the twin's elected member ran first
@@ -93,7 +90,7 @@ def reduce(world: World, c: Cell):
         if ctx.spawn_velocity is not None:
             vx, vy = ctx.spawn_velocity
         else:
-            vx, vy = 0.0, float(c.kind.value)
+            vx, vy = 0.0, float(ctx.direction)
         p = RealParticle(c.x + 0.5, c.y + 0.5, vx, vy, state)
         world.add_particle(p)
         world.stats.reductions.append(ReductionRecord(sched.clock, ctx.serial, me, state))

@@ -25,7 +25,6 @@ from .render import FrameBuffer
 from .stats import RunReport, digest_text
 from .world import (
     Cell,
-    CellKind,
     DOWN,
     MeasurementContext,
     UP,
@@ -65,7 +64,7 @@ class SourceSpec:
     x: int
     y: int
     state: int = 0
-    direction: CellKind = UP
+    direction: int = UP
     entangled: bool = False
     period: int = 1
     shots: int = 1
@@ -80,7 +79,7 @@ class DetectorSpec:
     y0: int
     x1: int
     y1: int
-    kind: CellKind = UP
+    kind: int = UP
     line: int = 0
 
 
@@ -233,7 +232,7 @@ def fire(
     world: World,
     cell: Optional[Cell],
     state: int,
-    direction: CellKind,
+    direction: int,
     measure: Event,
     spawn_velocity: Optional[tuple] = None,
 ) -> MeasurementContext:
@@ -247,16 +246,16 @@ def fire(
     """
     if cell is None:
         raise ScenarioError("cannot fire into a wall")
-    ctx = world.new_context(measure=measure, spawn_velocity=spawn_velocity)
-    if cell.kind is None:
-        start_cell(world, cell, direction)
-    world.sched.generate(cell, (direction, state % world.base, ctx))
+    ctx = world.new_context(direction, measure, spawn_velocity)
+    if cell.ctx is None:
+        start_cell(world, cell, ctx)
+    world.sched.generate(cell, (state % world.base, ctx))
     return ctx
 
 
-def _beam_directions(spec: SourceSpec) -> tuple[CellKind, ...]:
+def _beam_directions(spec: SourceSpec) -> tuple[int, ...]:
     if spec.entangled:
-        return (spec.direction, CellKind(-spec.direction.value))
+        return (spec.direction, -spec.direction)
     return (spec.direction,)
 
 
@@ -275,11 +274,11 @@ def emitter(world: World, spec: SourceSpec):
         if spec.vx is not None or spec.vy is not None:
             vx = 0.0 if spec.vx is None else spec.vx
             if spec.vy is None:
-                vy = float(direction.value)
+                vy = float(direction)
             else:
-                vy = spec.vy if direction is spec.direction else -spec.vy
+                vy = spec.vy if direction == spec.direction else -spec.vy
             velocity = (vx, vy)
-        cell = world.grid.cell(spec.x, spec.y + direction.value)
+        cell = world.grid.cell(spec.x, spec.y + direction)
         beams.append((cell, direction, velocity))
     sched = world.sched
     for _ in range(spec.shots):
@@ -310,6 +309,11 @@ def _rectangle(spec: ScenarioSpec, what: str, r, empty: str) -> int:
     if r.x1 < r.x0 or r.y1 < r.y0:
         raise ScenarioError(f"{what} (line {r.line}): {empty}")
     return (r.x1 - r.x0 + 1) * (r.y1 - r.y0 + 1)
+
+
+def _check_direction(what: str, line: int, key: str, value) -> None:
+    if type(value) is not int or value not in (UP, DOWN):
+        raise ScenarioError(f"{what} (line {line}): {key} {value!r} is not UP (-1) or DOWN (1)")
 
 
 def _open_cells(grid, d: DetectorSpec):
@@ -351,6 +355,7 @@ def build_world(spec: ScenarioSpec) -> World:
         for y in range(w.y0, w.y1 + 1):
             walls[y * width + w.x0 : y * width + w.x1 + 1] = brick
 
+    opened: dict[int, bytearray] = {}  # wall index -> 1 per column a slit opens
     for i, s in enumerate(spec.slits):
         if not (0 <= s.wall < len(spec.walls)):
             raise ScenarioError(
@@ -367,9 +372,14 @@ def build_world(spec: ScenarioSpec) -> World:
         cover(f"slit #{i}", s.line, (s.x1 - s.x0 + 1) * (w.y1 - w.y0 + 1))
         for x, y in ((s.x0, w.y0), (s.x1, w.y0), (s.x0, w.y1)):  # first off-interior cell
             _check_inside(spec, x, y, f"slit #{i}", s.line)
-        gap = bytes(s.x1 - s.x0 + 1)
-        for y in range(w.y0, w.y1 + 1):
-            walls[y * width + s.x0 : y * width + s.x1 + 1] = gap
+        columns = opened.setdefault(s.wall, bytearray(w.x1 - w.x0 + 1))
+        columns[s.x0 - w.x0 : s.x1 - w.x0 + 1] = b"\1" * (s.x1 - s.x0 + 1)
+    for k, columns in opened.items():  # each maximal open run once per row
+        w = spec.walls[k]
+        for run in re.finditer(rb"\x01+", columns):
+            x0, x1 = w.x0 + run.start(), w.x0 + run.end()
+            for y in range(w.y0, w.y1 + 1):
+                walls[y * width + x0 : y * width + x1] = bytes(x1 - x0)
 
     world = World(width, spec.height, seed=spec.seed, base=spec.base, walls=walls)
     world.scenario_digest = spec.digest
@@ -389,13 +399,14 @@ def build_world(spec: ScenarioSpec) -> World:
             raise ScenarioError(f"source #{i} (line {s.line}): period must be >= 1")
         if s.shots < 0:
             raise ScenarioError(f"source #{i} (line {s.line}): shots must be >= 0")
+        _check_direction(f"source #{i}", s.line, "direction", s.direction)
         for name, v in (("vx", s.vx), ("vy", s.vy)):
             if v is not None and not (-1.0 <= v <= 1.0):
                 raise ScenarioError(
                     f"source #{i} (line {s.line}): {name}={v} is outside -1.0..1.0"
                 )
         for direction in _beam_directions(s):
-            y = s.y + direction.value
+            y = s.y + direction
             if grid.cell(s.x, y) is None:
                 raise ScenarioError(
                     f"source #{i} (line {s.line}): fired cell ({s.x},{y}) is a wall"
@@ -405,6 +416,7 @@ def build_world(spec: ScenarioSpec) -> World:
 
     for i, d in enumerate(spec.detectors):
         cover(f"detector #{i}", d.line, _rectangle(spec, f"detector #{i}", d, "empty zone"))
+        _check_direction(f"detector #{i}", d.line, "kind", d.kind)
         if not any(_open_cells(grid, d)):
             raise ScenarioError(
                 f"detector #{i} (line {d.line}): zone covers only wall cells"

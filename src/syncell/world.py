@@ -6,11 +6,11 @@ object, a ``Cell``, also its trigger event; it runs one ``cell_behavior`` from
 its first trigger on. The cycle of a triggered cell spans instants: no step
 runs in the instant it is triggered; one instant later it resumes with every
 activation of that instant, combines them, settles its state and becomes
-visible, and one instant after that either retransmits (one ``(kind,
-basic_state, ctx)`` tuple, generated on the three cells ahead) or, if its
-measurement event fired, runs the reduction (``measure.reduce``) as the last
-phase of the same cycle. Every cycle ends with the cell reset to state 0 and
-dropped from ``World.visible``, so a wavefront row advances every two instants.
+visible, and one instant after that either retransmits (one ``(basic_state,
+ctx)`` tuple, generated on the three cells ahead in ``ctx.direction``) or, if
+its measurement event fired, runs the reduction (``measure.reduce``) as the
+last phase of the same cycle. Every cycle ends with the cell reset to state 0
+and dropped from ``World.visible``, so a wavefront row advances every two instants.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import gc
 import random
 from contextlib import contextmanager
-from enum import Enum
 from typing import Optional
 
 from .kernel import AwaitCollect, Collect, Event, Scheduler
@@ -26,15 +25,9 @@ from .particles import particle_stepper
 from .stats import RunStats
 
 
-class CellKind(Enum):
-    """A direction of travel; its value is its row step (y grows downwards)."""
-
-    UP = -1
-    DOWN = 1
-
-
-UP = CellKind.UP
-DOWN = CellKind.DOWN
+# a direction of travel is its row step (y grows downwards)
+UP = -1
+DOWN = 1
 
 
 @contextmanager
@@ -55,9 +48,10 @@ def collector_paused():
 class MeasurementContext:
     """Everything that binds one superposition to one measurement.
 
-    ``measure`` is the broadcast event a detector fires; ``signal`` is the
-    roll-call event on which member cells report their identities during
-    reduction and on which the elector then broadcasts the elected one.
+    ``direction``, UP or DOWN, is fixed when it is fired: the one record of
+    the way its wavefront travels. ``measure`` is the broadcast event a
+    detector fires; ``signal`` is the roll-call event on which member cells
+    report their identities during reduction and then learn the elected one.
     ``measure`` may be shared with a twin context (entanglement), and then
     also carries the pair's outcome state (``measure.reduce``); ``signal``
     never is shared. ``collect_measure`` is the one ``Collect(measure)``
@@ -65,21 +59,17 @@ class MeasurementContext:
     ``World.visible`` registered with this context; it records nothing they do.
     """
 
-    __slots__ = (
-        "measure",
-        "collect_measure",
-        "signal",
-        "serial",
-        "spawn_velocity",
-    )
+    __slots__ = ("direction", "measure", "collect_measure", "signal", "serial", "spawn_velocity")
 
     def __init__(
         self,
+        direction: int,
         measure: Event,
         signal: Event,
         serial: int,
         spawn_velocity: Optional[tuple] = None,
     ):
+        self.direction = direction
         self.measure = measure
         self.collect_measure = Collect(measure)
         self.signal = signal
@@ -90,30 +80,29 @@ class MeasurementContext:
 class Cell(Event):
     """One open grid site, which is also its trigger event; a wall has none.
 
-    ``kind``, ``basic_state`` and ``ctx`` are only meaningful while the cell
-    is in ``World.visible`` (between its combine step and its reset); outside
-    that window they are leftovers of the previous cycle. The combine step
-    takes ``kind`` and ``ctx`` from the last activation, a plain ``(kind,
-    basic_state, ctx)`` tuple; both are None until one first reaches the
-    cell. The cell runs a behavior iff its ``kind`` is not None.
+    ``basic_state`` and ``ctx`` are only meaningful while the cell is in
+    ``World.visible`` (between its combine step and its reset); outside that
+    window they are leftovers of the previous cycle. The combine step takes
+    ``ctx`` from the last activation, a plain ``(basic_state, ctx)`` tuple;
+    it is None until one first reaches the cell. The cell runs a behavior
+    iff its ``ctx`` is not None.
 
     As an event it holds no list at rest: a cell never triggered holds none,
     and a parked cell only the one-entry waiter list made when it parks.
     """
 
-    __slots__ = ("x", "y", "kind", "basic_state", "ctx")
+    __slots__ = ("x", "y", "basic_state", "ctx")
 
     def __init__(self, x: int, y: int):
         # Event's fields at rest (an Event.__init__ call per open site slows the build)
         self.values = self.waiters = ()
         self.x = x
         self.y = y
-        self.kind: Optional[CellKind] = None
         self.basic_state = 0
         self.ctx: Optional[MeasurementContext] = None
 
     def __repr__(self):
-        return f"Cell({self.x},{self.y},{self.kind},s={self.basic_state})"
+        return f"Cell({self.x},{self.y},s={self.basic_state})"
 
 
 class Grid:
@@ -180,11 +169,13 @@ class World:
 
     def new_context(
         self,
+        direction: int,
         measure: Optional[Event] = None,
         spawn_velocity: Optional[tuple] = None,
     ) -> MeasurementContext:
-        """Fresh context; pass ``measure`` to share it with a twin."""
+        """Fresh context fired in ``direction``; pass ``measure`` to share it with a twin."""
         ctx = MeasurementContext(
+            direction,
             measure if measure is not None else self.sched.new_event(),
             self.sched.new_event(),
             self._ctx_serial,
@@ -241,31 +232,26 @@ class World:
 
 
 def awake_neighbourhood(world: World, c: Cell) -> None:
-    """Trigger the three forward neighbours (row above for UP, below for DOWN)
-    left to right, skipping walls. Indexing needs no range check: a cell is
-    never on the border ring of walls (``Grid``)."""
-    if c.kind is UP:
-        dy = -1
-    elif c.kind is DOWN:
-        dy = 1
-    else:
-        raise ValueError(f"cell at ({c.x},{c.y}) has no direction to transmit in")
+    """Trigger the three forward neighbours (row above for UP, below for DOWN,
+    in ``c.ctx.direction``) left to right, skipping walls. Indexing needs no
+    range check: a cell is never on the border ring of walls (``Grid``)."""
     sched, grid = world.sched, world.grid
-    a = (c.kind, c.basic_state, c.ctx)
+    ctx = c.ctx
+    a = (c.basic_state, ctx)
     cells = grid._cells
-    i = (c.y + dy) * grid.width + c.x
+    i = (c.y + ctx.direction) * grid.width + c.x
     for t in (cells[i - 1], cells[i], cells[i + 1]):
         if t is not None:
-            if t.kind is None:
-                start_cell(world, t, c.kind)
+            if t.ctx is None:
+                start_cell(world, t, ctx)
             sched.generate(t, a)
 
 
-def start_cell(world: World, c: Cell, kind: CellKind) -> None:
-    """Start never-triggered ``c`` (``kind`` None) under its reserved id, its
-    ``Grid.linear``, as its first activation, of direction ``kind``, is
-    generated: it steps later this instant."""
-    c.kind = kind
+def start_cell(world: World, c: Cell, ctx: MeasurementContext) -> None:
+    """Start never-triggered ``c`` (``ctx`` None) under its reserved id, its
+    ``Grid.linear``, as its first activation, of context ``ctx``, is
+    generated: it steps later this instant, and combines before reading it."""
+    c.ctx = ctx
     world.sched.spawn(cell_behavior(world, c), world.grid.linear(c.x, c.y))
 
 
@@ -284,18 +270,18 @@ def cell_behavior(world: World, c: Cell):
     while True:
         # resumes the instant after the trigger, with every activation of it
         activations = yield collect_trigger
-        first_ctx = activations[0][2]
+        first_ctx = activations[0][1]
         for a in activations:
-            if a[2] is not first_ctx:
+            if a[1] is not first_ctx:
                 world.ctx_collisions += 1
                 break
         # combine: the states add up, plus one; the last activation sets
-        # the direction and the context
+        # the context
         state = c.basic_state + 1
         for a in activations:
-            state += a[1]
+            state += a[0]
         c.basic_state = state % world.base
-        c.kind, _, c.ctx = activations[-1]
+        c.ctx = activations[-1][1]
         del activations, first_ctx, a  # freed now, not when next triggered
         world.visible[c] = c.ctx
         if c in world.zone_cells:

@@ -170,7 +170,7 @@ def started_cells(world):
         c
         for y in range(world.grid.height)
         for x in range(world.grid.width)
-        if (c := world.grid.cell(x, y)) is not None and c.kind is not None
+        if (c := world.grid.cell(x, y)) is not None and c.ctx is not None
     ]
 
 

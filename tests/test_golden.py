@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from syncell import UP, build_world, load_scenario, parse_scenario
+from syncell import UP, Event, MeasurementContext, build_world, load_scenario, parse_scenario
 from syncell.scenario import ScenarioSpec, SourceSpec, run_world
 from syncell.world import start_cell
 
@@ -225,11 +225,14 @@ def test_per_instant_evolution_is_pinned(case):
 
 def start_every_cell(world):
     """Start every non-wall cell before instant 0 (``start_cell``, which sets
-    ``kind`` so that no trigger starts it again): each cell then takes its
-    first step in instant 0, as when ``build_world`` started them all."""
+    ``ctx`` so that no trigger starts it again): each cell then takes its
+    first step in instant 0, as when ``build_world`` started them all. The
+    context is built directly, so it takes no serial from the world's, and
+    each cell's combine step overwrites it before anything reads it."""
+    placeholder = MeasurementContext(UP, Event(), Event(), -1)
     for c in cells_of(world.grid):
-        if c.kind is None:
-            start_cell(world, c, UP)
+        if c.ctx is None:
+            start_cell(world, c, placeholder)
 
 
 @pytest.mark.parametrize("case", sorted(TRACE_CASES))

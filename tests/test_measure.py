@@ -78,8 +78,8 @@ def reduce_elected(states):
 
     for i, state in enumerate(states):
         c = w.grid.cell(2 + 2 * i, 4)
-        c.kind, c.basic_state = UP, state
-        c.ctx = w.new_context(measure=event)
+        c.basic_state = state
+        c.ctx = w.new_context(UP, event)
         w.sched.spawn(measure.reduce(w, c))
     w.sched.spawn(listener())
     w.run(REDUCE_WINDOW + 1)
@@ -282,7 +282,7 @@ def test_collapse_runs_in_the_cell_cycle_with_one_draw_per_context(
     # trigger, the particle stepper is the run's only spawn
     started = spawned.pop("cell_behavior")
     assert spawned == Counter({"particle_stepper": 1})
-    assert started == sum(c.kind in (UP, DOWN) for c in cells_of(w.grid))
+    assert started == sum(c.ctx is not None for c in cells_of(w.grid))
     assert len(draws) == contexts_per_collapse * collapses
 
 
@@ -389,7 +389,7 @@ def polling_detections(world):
                     for x in range(d.x0, d.x1 + 1):
                         c = world.grid.cell(x, y)
                         ctx = world.visible.get(c)
-                        if ctx is None or c.kind is not d.kind or ctx.serial in seen[index]:
+                        if ctx is None or ctx.direction != d.kind or ctx.serial in seen[index]:
                             continue
                         seen[index].add(ctx.serial)
                         census = world.superposition_census(ctx)

@@ -178,11 +178,9 @@ def test_empty_world_has_dead_interior_and_brick_border():
     assert w.grid.walls.count(1) == 20 * 20 - 18 * 18
     assert len(interior) == 18 * 18
     assert w.visible == {}
-    assert all(
-        c.ctx is None and c.basic_state == 0 and not c.present for c in interior
-    )
+    assert all(c.basic_state == 0 and not c.present for c in interior)
     # a cell's behavior starts at its first trigger: none has one yet
-    assert all(c.kind is None for c in interior)
+    assert all(c.ctx is None for c in interior)
     assert w.sched.alive == 0
 
 
@@ -191,7 +189,7 @@ def test_walls_are_brick_and_get_no_behavior():
     w = build_world(spec)
     assert w.sched.alive == 0  # walls and never-triggered cells have no behavior
     assert all(w.grid.cell(x, y) is None for y in (5, 6) for x in range(3, 17))
-    assert sum(c.kind is None for c in cells_of(w.grid)) == 18 * 18 - 14 * 2
+    assert sum(c.ctx is None for c in cells_of(w.grid)) == 18 * 18 - 14 * 2
 
 
 def test_open_slit_carves_through_its_wall():
@@ -206,8 +204,8 @@ def test_open_slit_carves_through_its_wall():
     assert w.grid.cell(8, 9) is not None
     assert w.grid.cell(6, 9) is None
     # the carved cells are open and, like every cell, not started before a trigger
-    assert w.grid.cell(7, 9).kind is None and isinstance(w.grid.cell(7, 9), Event)
-    assert sum(c.kind is None for c in cells_of(w.grid)) == 18 * 18 - (18 - 2)
+    assert w.grid.cell(7, 9).ctx is None and isinstance(w.grid.cell(7, 9), Event)
+    assert sum(c.ctx is None for c in cells_of(w.grid)) == 18 * 18 - (18 - 2)
     assert w.sched.alive == 0
 
 
@@ -221,7 +219,7 @@ def test_behavior_bookkeeping_with_source_and_detector():
     w = build_world(spec)
     assert w.sched.alive == 2  # the emitter and the detector behavior
     w.run(1)  # the first shot starts the one fired cell
-    assert w.sched.alive == 3 and w.grid.cell(10, 15).kind is UP
+    assert w.sched.alive == 3 and w.grid.cell(10, 15).ctx.direction == UP
 
 
 def test_young200_builds_in_4_5_mb_and_starts_only_the_cells_it_triggers():
@@ -234,7 +232,7 @@ def test_young200_builds_in_4_5_mb_and_starts_only_the_cells_it_triggers():
     # 641 cells triggered by then, of 39,008, plus the emitter, the detector
     # behavior and the particle stepper
     assert w.sched.alive == 644
-    assert w.sched.alive - 3 == sum(c.kind in (UP, DOWN) for c in cells_of(w.grid))
+    assert w.sched.alive - 3 == sum(c.ctx is not None for c in cells_of(w.grid))
 
 
 def test_young200_builds_one_object_per_open_site():
@@ -310,6 +308,14 @@ def test_young200_builds_one_object_per_open_site():
         (ScenarioSpec(width=100_000, height=100_000), "more than 1,000,000 cells"),
         (ScenarioSpec(width=MAX_CELLS // 999, height=1000), "more than 1,000,000 cells"),
         (ScenarioSpec(width=2, height=10), "smaller than 3x3"),
+        (  # a direction is a row step, so a spec built in code can hold any int
+            ScenarioSpec(width=10, height=10, sources=[SourceSpec(x=5, y=5, direction=2, line=4)]),
+            "source #0 (line 4): direction 2 is not UP (-1) or DOWN (1)",
+        ),
+        (
+            ScenarioSpec(width=10, height=10, detectors=[DetectorSpec(2, 2, 7, 7, kind=0, line=9)]),
+            "detector #0 (line 9): kind 0 is not UP (-1) or DOWN (1)",
+        ),
     ],
 )
 def test_build_rejects_malformed_specs_with_location(spec, fragment):
@@ -624,7 +630,7 @@ def test_entangled_fires_share_exactly_measure():
     assert a.measure is b.measure
     assert a.signal is not b.signal  # each context elects on its own roll-call
     assert a.serial != b.serial
-    assert up_cell.kind is UP and down_cell.kind is DOWN
+    assert a.direction == UP and b.direction == DOWN
 
 
 def test_fire_into_a_wall_is_a_scenario_error():

@@ -1,5 +1,7 @@
 """Cell rule semantics and the wavefront against the independent recurrence."""
 
+import sys
+
 import pytest
 
 from syncell import COOPERATE, DOWN, UP, World
@@ -37,11 +39,10 @@ def test_a_grid_forces_its_border_ring_and_checks_its_wall_mask():
 # -- triggering ----------------------------------------------------------------
 
 
-def prepared_cell(w, x, y, kind=UP, state=0):
+def prepared_cell(w, x, y, direction=UP, state=0):
     c = w.grid.cell(x, y)
-    c.kind = kind
     c.basic_state = state
-    c.ctx = w.new_context()
+    c.ctx = w.new_context(direction)
     return c
 
 
@@ -76,7 +77,7 @@ def test_awake_neighbourhood_skips_bricks_and_carries_state():
 
     in_active_phase(w, act)
     assert seen["hit"] == [(3, 3), (5, 3)]
-    assert seen["values"] == [[(UP, 3, c.ctx)]] * 2
+    assert seen["values"] == [[(3, c.ctx)]] * 2
 
 
 def test_one_transmit_hands_one_plain_tuple_to_all_three_neighbours():
@@ -90,7 +91,7 @@ def test_one_transmit_hands_one_plain_tuple_to_all_three_neighbours():
 
     in_active_phase(w, act)
     (first,), (second,), (third,) = seen["values"]
-    assert type(first) is tuple and first == (DOWN, 2, c.ctx)
+    assert type(first) is tuple and first == (2, c.ctx)
     assert second is first and third is first
 
 
@@ -104,7 +105,7 @@ def test_fire_hands_a_plain_tuple_to_its_cell():
         seen["values"] = list(c.values)
 
     in_active_phase(w, act)
-    assert seen["values"] == [(UP, 5 % 3, seen["ctx"])]
+    assert seen["values"] == [(5 % 3, seen["ctx"])]
     assert type(seen["values"][0]) is tuple
 
 
@@ -121,7 +122,7 @@ def test_two_emitters_stack_activations_on_one_trigger():
         seen["values"] = list(target.values)
 
     in_active_phase(w, act)
-    assert seen["values"] == [(UP, 1, a.ctx), (UP, 2, b.ctx)]
+    assert seen["values"] == [(1, a.ctx), (2, b.ctx)]
 
 
 def test_awake_neighbourhood_offsets_up_and_down():
@@ -157,8 +158,8 @@ def test_awake_neighbourhood_near_wall_reaches_only_open_cells():
 
 def test_brick_caller_cannot_transmit():
     w = World(9, 9)
-    c = w.grid.cell(4, 4)  # never triggered, so it has no direction
-    with pytest.raises(ValueError):
+    c = w.grid.cell(4, 4)  # never triggered, so it has no context to travel in
+    with pytest.raises(AttributeError):
         awake_neighbourhood(w, c)
 
 
@@ -184,8 +185,8 @@ def settle(w, x, y, activations, state=0):
 
 def settled_state(states, state=0, base=6):
     w = World(5, 5, base=base)
-    ctx = w.new_context()
-    return settle(w, 2, 2, [(UP, s, ctx) for s in states], state).basic_state
+    ctx = w.new_context(UP)
+    return settle(w, 2, 2, [(s, ctx) for s in states], state).basic_state
 
 
 def test_combine_adds_states_modulo_base():
@@ -198,26 +199,26 @@ def test_combine_adds_states_modulo_base():
 
 def test_combine_adds_states_and_rebinds_context():
     w = World(9, 9)
-    ctx1, ctx2, ctx3 = (w.new_context() for _ in range(3))
-    c = settle(w, 4, 4, [(UP, 2, ctx1), (UP, 3, ctx2), (UP, 4, ctx3)])
+    ctx1, ctx2, ctx3 = (w.new_context(UP) for _ in range(3))
+    c = settle(w, 4, 4, [(2, ctx1), (3, ctx2), (4, ctx3)])
     assert c.basic_state == (2 + 3 + 4 + 1) % 6
-    assert c.kind is UP
+    assert c.ctx.direction == UP
     assert c.ctx is ctx3 and w.visible[c] is ctx3  # last writer owns the cell
     assert w.ctx_collisions == 1
 
 
 def test_single_activation_onto_fresh_cell_copies_state():
     w = World(9, 9)
-    c = settle(w, 4, 4, [(DOWN, 4, w.new_context())])
-    assert c.basic_state == 4 + 1 and c.kind is DOWN
+    c = settle(w, 4, 4, [(4, w.new_context(DOWN))])
+    assert c.basic_state == 4 + 1 and c.ctx.direction == DOWN
 
 
 def test_a_visible_cell_yields_its_contexts_one_collect():
     w = World(9, 9)
-    ctx = w.new_context()
+    ctx = w.new_context(UP)
     gen = cell_behavior(w, w.grid.cell(4, 4))
     next(gen)  # parked on its trigger
-    assert gen.send([(UP, 0, ctx)]) is ctx.collect_measure
+    assert gen.send([(0, ctx)]) is ctx.collect_measure
     assert ctx.collect_measure.event is ctx.measure
 
 
@@ -286,6 +287,12 @@ def test_an_event_at_rest_holds_no_list():
     assert (w.grid.cell(2, 2).values, w.grid.cell(2, 2).waiters) == ((), ())
 
 
+def test_an_open_cell_is_80_bytes():
+    # the GC header, the object header, and six slots: Event's values and
+    # waiters, then x, y, basic_state and ctx (the direction is on ctx)
+    assert sys.getsizeof(World(5, 5).grid.cell(2, 2)) == 80
+
+
 def test_linear_is_injective_row_major():
     w = World(10, 6)
     assert w.grid.linear(0, 0) == 0
@@ -313,7 +320,7 @@ def test_dead_cell_triggered_cycle_timing():
     w.sched.spawn(trigger_spy())
     run_to(w, 1)  # instant 0 done: cell triggered, nothing settled yet
     assert triggered == {0: True}
-    assert target not in w.visible and target.ctx is None
+    assert target not in w.visible and target.basic_state == 0
 
     run_to(w, 2)  # instant 1 done: combined 3, incremented
     assert triggered == {0: True, 1: False}
@@ -345,8 +352,8 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
             value = yield gen.send(value)
 
     # started before the trigger, as a cell that ran a cycle before is; its
-    # kind keeps fire from starting it again
-    c.kind = UP
+    # context, left from that cycle, keeps fire from starting it again
+    c.ctx = w.new_context(UP)
     w.sched.spawn(counted(cell_behavior(w, c)), w.grid.linear(c.x, c.y))
     heard = []
 
