@@ -11,8 +11,9 @@ the kernel only reads, so any behavior may yield one command object again:
 
     yield Await(e)     resume as soon as e is generated (immediately if it
                        already was this instant)
-    yield Collect(e)   resume at the start of the next instant with the list
-                       of values generated on e during the current instant
+    yield Collect(e)   resume at the start of the next instant with the values
+                       generated on e during the current instant, a tuple
+                       shared by every collector of e in it; () if e was absent
     yield AwaitCollect(e)
                        Await, then Collect with no step between: resume at
                        the start of the instant after the one e is generated
@@ -98,7 +99,8 @@ class Await:
 
 
 class Collect:
-    """Suspend to the next instant; resume with this instant's value list."""
+    """Suspend to the next instant; resume with this instant's values: a tuple
+    shared by every collector of the event in that instant; ``()`` if absent."""
 
     __slots__ = ("event",)
 
@@ -137,12 +139,12 @@ class InstantReport:
 class Scheduler:
     """Drives behaviors through instants; ``new_event`` makes a fresh event.
 
-    ``clock``, the next instant to run, is read-only: ``run_instant`` advances it."""
+    ``clock``, the next instant to run, and ``active`` are read-only, set by ``run_instant``."""
 
     def __init__(self, microstep_budget: int = DEFAULT_MICROSTEP_BUDGET):
         self.microstep_budget = microstep_budget
         self.clock = 0
-        self._active = False  # in the active phase of an instant
+        self.active = False  # in the active phase of an instant
         # (bid, gen, value) entries to run in this instant, and the start list
         self._run: list[tuple[int, Behavior, Any]] = []
         self._resume: list[tuple[int, Behavior, Any]] = []
@@ -173,7 +175,7 @@ class Scheduler:
             ids[bid] = 2
         else:
             raise KernelError(f"spawn id {bid} is not a reserved id free for use")
-        (self._run if self._active else self._resume).append((bid, gen, None))
+        (self._run if self.active else self._resume).append((bid, gen, None))
         self.alive += 1
         return bid
 
@@ -186,7 +188,7 @@ class Scheduler:
         event a fresh values list; waking its waiters hands their list to the
         run and leaves the event with none.
         """
-        if not self._active:
+        if not self.active:
             raise PhaseError(
                 "generate is only allowed during the active phase of an instant"
             )
@@ -207,7 +209,7 @@ class Scheduler:
     def run_instant(self) -> InstantReport:
         """Execute one full instant (active phase, then end-of-instant)."""
         instant = self.clock
-        self._active = True
+        self.active = True
 
         run = self._resume
         run.sort()
@@ -258,17 +260,18 @@ class Scheduler:
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
 
-        # End of instant: each collector gets its own copy of exactly this
-        # instant's values, then every touched event is counted and put back
-        # at rest.
-        self._active = False
+        # End of instant: every collector of an event gets one shared tuple of
+        # its values (() if absent), then each touched event is put at rest.
+        self.active = False
         self._run = []
-        for bid, gen, event in collectors:
-            resume.append((bid, gen, list(event.values)))
-        collectors.clear()
         generated = 0
         for event in self._touched:
-            generated += len(event.values)
+            event.values = values = tuple(event.values)
+            generated += len(values)
+        for bid, gen, event in collectors:
+            resume.append((bid, gen, event.values))
+        collectors.clear()
+        for event in self._touched:
             event.values = ()
         self._touched = []
 

@@ -12,6 +12,7 @@ to the last member reset make "the collapse is instantaneous" checkable.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from .kernel import COOPERATE, Await, Collect
 from .particles import RealParticle
@@ -22,10 +23,9 @@ from .world import Cell, World
 REDUCE_WINDOW = 5
 
 
-def choose(ids: list, rng: random.Random):
-    """Uniform draw from a non-empty list; the run's only use of randomness."""
-    if not ids:
-        raise ValueError("choose requires a non-empty list")
+def choose(ids: Sequence, rng: random.Random):
+    """Uniform draw from a non-empty sequence (``randrange`` raises ValueError on
+    an empty one); the run's only use of randomness."""
     return ids[rng.randrange(len(ids))]
 
 

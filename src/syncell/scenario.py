@@ -273,11 +273,8 @@ def emitter(world: World, spec: SourceSpec):
         velocity = None
         if spec.vx is not None or spec.vy is not None:
             vx = 0.0 if spec.vx is None else spec.vx
-            if spec.vy is None:
-                vy = float(direction)
-            else:
-                vy = spec.vy if direction == spec.direction else -spec.vy
-            velocity = (vx, vy)
+            vy = float(spec.direction) if spec.vy is None else spec.vy
+            velocity = (vx, vy if direction == spec.direction else -vy)
         cell = world.grid.cell(spec.x, spec.y + direction)
         beams.append((cell, direction, velocity))
     sched = world.sched

@@ -191,7 +191,7 @@ class World:
         if not self.particles:
             sched.spawn(particle_stepper(self))
         self.particles.append(p)
-        self.particle_starts.append(sched.clock + 1 if sched._active else sched.clock)
+        self.particle_starts.append(sched.clock + 1 if sched.active else sched.clock)
 
     # -- observation helpers ------------------------------------------------
 

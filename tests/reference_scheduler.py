@@ -4,8 +4,10 @@ It follows the documented rules one by one, with plain lists and no shortcut:
 
 - ``Await(e)`` resumes as soon as ``e`` is generated, at once if it already
   was in this instant; ``Collect(e)`` resumes at the next instant's start with
-  this instant's values on ``e``; ``AwaitCollect(e)`` is ``Await`` then
-  ``Collect`` with no step between; ``COOPERATE`` resumes at the next start.
+  this instant's values on ``e``, one tuple shared by every collector of ``e``
+  in that instant, ``()`` if ``e`` was absent; ``AwaitCollect(e)`` is
+  ``Await`` then ``Collect`` with no step between; ``COOPERATE`` resumes at
+  the next start.
 - ``generate`` is only legal during an instant and wakes every awaiter of the
   event in that instant; behaviors that become runnable together are ordered
   by spawn id.
@@ -19,8 +21,9 @@ It follows the documented rules one by one, with plain lists and no shortcut:
 - A micro-step is one resumption; the step past the budget raises
   ``DivergenceError`` in that instant.
 
-It speaks the ``Scheduler`` API that a test program uses, so one program can
-drive both and their traces can be compared.
+It speaks the ``Scheduler`` API that a test program uses, down to the
+read-only ``clock`` and ``active``, so one program can drive both and their
+traces can be compared.
 """
 
 from syncell.kernel import (
@@ -45,7 +48,7 @@ class ReferenceScheduler:
         self.microstep_budget = microstep_budget
         self.clock = 0
         self.alive = 0
-        self.in_instant = False
+        self.active = False
         self.ids = []  # per spawn id: "plain", "reserved" (free) or "held"
         self.start_list = []  # [bid, gen, value] to run at the next instant's start
         self.run_list = []  # the running instant's list, extended while it runs
@@ -71,14 +74,14 @@ class ReferenceScheduler:
         else:
             self.ids[bid] = "held"
         self.alive += 1
-        if self.in_instant:
+        if self.active:
             self.run_list.append([bid, gen, None])
         else:
             self.start_list.append([bid, gen, None])
         return bid
 
     def generate(self, event, value=None):
-        if not self.in_instant:
+        if not self.active:
             raise PhaseError("generate outside an instant")
         if not any(seen is event for seen in self.touched):
             self.touched.append(event)
@@ -94,7 +97,7 @@ class ReferenceScheduler:
 
     def run_instant(self):
         instant = self.clock
-        self.in_instant = True
+        self.active = True
         self.run_list = sorted(self.start_list, key=lambda entry: entry[0])
         self.start_list = []
         steps = 0
@@ -132,14 +135,20 @@ class ReferenceScheduler:
                         self.waiting.append([bid, gen, cmd.event, True])
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
-        self.in_instant = False
-        for bid, gen, event in self.collecting:
-            self.start_list.append([bid, gen, list(event.values)])
-        self.collecting = []
+        self.active = False
+        snapshots = []  # [event, the one tuple of its values every collector gets]
         generated = 0
         for event in self.touched:
+            snapshots.append([event, tuple(event.values)])
             generated += len(event.values)
             event.values = []
+        for bid, gen, event in self.collecting:
+            collected = ()
+            for seen, snapshot in snapshots:
+                if seen is event:
+                    collected = snapshot
+            self.start_list.append([bid, gen, collected])
+        self.collecting = []
         self.touched = []
         self.clock += 1
         return InstantReport(instant, self.alive, generated, steps)

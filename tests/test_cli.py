@@ -398,8 +398,16 @@ def test_a_repeated_key_exits_2_naming_its_line(tmp_path, capsys, command):
             SMALL.replace("width=31\nheight=31", "width=100000\nheight=100000"),
             "grid 100000x100000 has more than 1,000,000 cells",
         ),
+        (  # a corner off the grid names its section and the section's line
+            TWO_SLIT.replace("y1=25", "y1=41"),
+            "wall #0 (line 5): corner (39,41) is off the grid",
+        ),
+        (
+            SMALL.replace("x1=29", "x1=31"),
+            "detector #0 (line 12): corner (31,17) is off the grid",
+        ),
     ],
-    ids=["vx", "vy-nan", "huge-grid"],
+    ids=["vx", "vy-nan", "huge-grid", "wall-off-grid", "detector-off-grid"],
 )
 def test_unbuildable_scenarios_exit_2(tmp_path, capsys, text, fragment):
     scn = tmp_path / "bad.scn"
@@ -413,6 +421,15 @@ def test_compare_needs_an_open_slit(tmp_path):
     scn = tmp_path / "closed.scn"
     scn.write_text(closed)
     assert main(["compare", "--scenario", str(scn)]) == EXIT_SCENARIO
+
+
+@pytest.mark.parametrize("close", [1, 9], ids=["closed", "missing"])
+def test_compare_close_of_a_slit_that_is_not_open_exits_2(tmp_path, capsys, close):
+    scn = tmp_path / "one_open.scn"
+    scn.write_text(TWO_SLIT.replace("x1=24\nopen=true", "x1=24\nopen=false"))
+    assert main(["compare", "--scenario", str(scn), "--close", str(close)]) == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert err == f"scenario error: slit {close} is not an open slit of this scenario\n"
 
 
 def python(*args):

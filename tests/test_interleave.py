@@ -33,6 +33,15 @@ def test_an_a_a_run_times_two_separate_copies_that_do_the_same_work(tool):
     assert a.kernel.Event is not b.kernel.Event  # each tree under its own name
 
 
+def test_the_entangled_workload_is_the_shipped_file_at_its_own_seed_and_length(tool):
+    world, instants = tool.build(tool.load_tree(SRC, "syncell_interleave_a"), "entangled")
+    assert (world.seed, instants, world.grid.width, world.grid.height) == (11, 5200, 61, 81)
+    # the first two shots' twin contexts, each pair on one measurement event,
+    # collapse inside these instants, and both sides do the same work
+    a_ns, b_ns, mismatched = tool.interleave(SRC, SRC, "entangled", instants=120)
+    assert len(a_ns) == len(b_ns) == 120 and mismatched == 0
+
+
 def test_main_prints_the_summed_and_the_median_ratio(tool, monkeypatch, capsys):
     times = ([100, 300], [110, 300], 1)
     monkeypatch.setattr(tool, "interleave", lambda a, b, workload: times)

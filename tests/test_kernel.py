@@ -155,7 +155,7 @@ def test_collect_returns_exactly_the_opening_instants_values():
     s.spawn(collector())
     s.spawn(producer())
     drive(s, 3)
-    assert got == [["a1", "a2", "a3"]]
+    assert got == [("a1", "a2", "a3")]
 
 
 def test_await_collect_on_present_event_collects_the_whole_instant():
@@ -178,7 +178,7 @@ def test_await_collect_on_present_event_collects_the_whole_instant():
     for gen in (early(), collector(), late()):
         s.spawn(gen)
     drive(s, 3)
-    assert got == [(["a", "b"], 1)]
+    assert got == [(("a", "b"), 1)]
 
 
 def test_await_and_await_collect_share_one_event():
@@ -204,7 +204,7 @@ def test_await_and_await_collect_share_one_event():
     for gen in (collector(), awaiter(), producer()):
         s.spawn(gen)
     drive(s, 4)
-    assert log == [("await", 1), ("collect", 2, [1, 2, 3])]
+    assert log == [("await", 1), ("collect", 2, (1, 2, 3))]
     assert e.waiters == ()
 
 
@@ -249,7 +249,7 @@ def test_collect_absent_event_yields_empty_list():
 
     s.spawn(collector())
     drive(s, 2)
-    assert got == [[], 1]
+    assert got == [(), 1]
 
 
 def test_one_collect_command_yielded_by_two_behaviors_in_several_instants():
@@ -274,9 +274,9 @@ def test_one_collect_command_yielded_by_two_behaviors_in_several_instants():
     for gen in (collector("a"), collector("b"), producer()):
         s.spawn(gen)
     drive(s, 4)
-    assert got["a"] == got["b"] == [[1, 2], [], [3]]
+    assert got["a"] == got["b"] == [(1, 2), (), (3,)]
     for mine, theirs in zip(got["a"], got["b"]):
-        assert mine is not theirs and mine is not e.values  # each its own fresh list
+        assert mine is theirs  # one tuple per event and instant, shared
 
 
 def test_cooperate_advances_one_instant_each():
@@ -519,7 +519,7 @@ def test_instant_report_counts_every_generated_value():
     for behavior in (collector(), relay(), emitter()):
         s.spawn(behavior)
     assert [r.generated for r in drive(s, 3)] == [3, 2, 0]
-    assert got == [[1, 2], ["c"]]
+    assert got == [(1, 2), ("c",)]
 
 
 def test_cooperate_loop_runs_one_step_per_instant_forever():
@@ -616,14 +616,14 @@ def _interp(sched, events, script, trace, label, split=False, pool=None, held=No
             trace.append((label, "await", op[1], sched.clock))
         elif tag == "collect":
             values = yield Collect(events[op[1]])
-            trace.append((label, "collect", op[1], tuple(values), sched.clock))
+            trace.append((label, "collect", op[1], values, sched.clock))
         elif tag == "await_collect":
             if split:
                 yield Await(events[op[1]])
                 values = yield Collect(events[op[1]])
             else:
                 values = yield AwaitCollect(events[op[1]])
-            trace.append((label, "await_collect", op[1], tuple(values), sched.clock))
+            trace.append((label, "await_collect", op[1], values, sched.clock))
         elif tag == "reserve":
             pool.extend(sched.reserve(op[1]))
             trace.append((label, "reserve", op[1], sched.clock))
@@ -722,9 +722,22 @@ _gaps = st.lists(st.lists(_gap_ops, max_size=4), min_size=1, max_size=4)
 _budgets = st.one_of(st.integers(1, 60), st.just(10_000))
 
 
+def _collected_once(trace):
+    """Assert that every collector of one event in one instant got one shared
+    tuple: the collects of a trace, grouped by event and resuming instant."""
+    shared = {}
+    for entry in trace:
+        if isinstance(entry, tuple) and entry[1] in ("collect", "await_collect"):
+            _, _, event, values, clock = entry
+            assert type(values) is tuple
+            assert values is shared.setdefault((event, clock), values)
+
+
 def _run_gaps(sched, gaps, instants=30):
     """Trace a run: every op, each instant's report, ``is_quiet`` and
-    ``alive`` before each instant, and where the micro-step budget ran out."""
+    ``alive`` before each instant, and where the micro-step budget ran out.
+    Each collected value is traced as received, so the trace compares types
+    too, and ``_collected_once`` checks it."""
     events = [sched.new_event() for _ in range(3)]
     trace, pool = [], []
     for clock in range(instants):
@@ -740,6 +753,7 @@ def _run_gaps(sched, gaps, instants=30):
             trace.append(("diverged", err.instant, err.budget))
             break
         trace.append(report)
+    _collected_once(trace)
     return trace
 
 

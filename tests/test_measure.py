@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -91,13 +92,13 @@ def test_twin_contexts_take_the_first_elected_members_state(states):
     particles, broadcasts = reduce_elected(states)
     first = states[0]
     assert particles == [first, first]
-    assert broadcasts == {REDUCE_WINDOW - 1: [first]}  # one broadcast, by the first
+    assert broadcasts == {REDUCE_WINDOW - 1: (first,)}  # one broadcast, by the first
 
 
 def test_a_lone_context_broadcasts_its_own_state():
     particles, broadcasts = reduce_elected((4,))
     assert particles == [4]
-    assert broadcasts == {REDUCE_WINDOW - 1: [4]}
+    assert broadcasts == {REDUCE_WINDOW - 1: (4,)}
 
 
 def single_shot_world(**kwargs):
@@ -166,7 +167,42 @@ def test_the_roll_call_broadcasts_the_elected_id():
     members = heard.pop(0)
     assert len(members) == rec.size
     # the ids in row-major (spawn-id) order, then the elector's draw alone
-    assert heard == [(rec.instant + 3, members), (rec.instant + 4, [red.cell_id])]
+    assert heard == [(rec.instant + 3, tuple(members)), (rec.instant + 4, (red.cell_id,))]
+
+
+def collapse_peak_per_member(generations):
+    """The ``tracemalloc`` peak per member over the collapse of one free-space
+    wavefront, measured ``generations`` rows from its source, so
+    ``2 * generations + 1`` cells wide: from the instant after the
+    measurement to the last member's reset, roll-call instants included."""
+    g = generations
+    w = build_world(ScenarioSpec(
+        width=2 * g + 11,
+        height=g + 6,
+        sources=[SourceSpec(x=g + 5, y=g + 4, state=0, shots=1, period=10)],
+        detectors=[DetectorSpec(x0=1, y0=3, x1=2 * g + 9, y1=3)],
+        seed=3,
+    ))
+    while not w.stats.detections:
+        w.run(1)
+    [rec] = w.stats.detections
+    assert rec.size == 2 * g + 1
+    tracemalloc.start()
+    try:
+        w.run(REDUCE_WINDOW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.stats.reductions) == 1
+    return peak / rec.size
+
+
+def test_a_collapse_costs_memory_linear_in_its_members():
+    # every member collects the roll-call's N ids: one shared tuple keeps the
+    # peak at a few hundred bytes per member (a generator, its resume entries),
+    # where a copy per member would add 8 * N bytes per member, about 2.2x
+    # the 101-member figure at 301 members
+    assert collapse_peak_per_member(150) < 1.3 * collapse_peak_per_member(50)
 
 
 def test_report_matches_each_measured_detection_to_its_reduction():

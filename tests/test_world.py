@@ -280,7 +280,7 @@ def test_an_event_at_rest_holds_no_list():
     assert len(e.waiters) == 2  # the awaiter and the collector, parked
     w.sched.spawn(collector(Collect))
     run_to(w, 3)
-    assert got == [("await", 1), ("AwaitCollect", ["v"]), ("Collect", ["v"])]
+    assert got == [("await", 1), ("AwaitCollect", ("v",)), ("Collect", ("v",))]
     assert (e.values, e.waiters) == ((), ())
     # the fired cell parks on a one-entry list; one never reached holds none
     assert len(w.grid.cell(7, 12).waiters) == 1

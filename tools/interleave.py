@@ -1,14 +1,16 @@
 """Interleaved A/B timer: what one source tree's instants cost against another's.
 
-    python3 tools/interleave.py A/src/syncell B/src/syncell --workload young200|wavefront
+    python3 tools/interleave.py A/src/syncell B/src/syncell --workload young200|wavefront|entangled
 
 Each tree is loaded under its own package name, so both live in one process.
-The workload's world (perfbench's ``young200`` or ``wavefront``, at the
-scenario file's seed) is built once in each, and the two worlds' instants
-run one after the other with the cyclic collector paused, swapping which
-side goes first on every instant. A drift in the host's speed then hits both
-sides alike, which resolves differences of about 1% that separate benchmark
-runs cannot. It prints B's summed time over A's and the median of the
+The workload's world is built once in each: perfbench's ``young200`` or
+``wavefront`` at the scenario file's seed, or ``entangled``, the shipped
+``scenarios/entangled.scn`` at its own seed for its 5,200 instants, the only
+shipped world whose two contexts share a measurement event. The two worlds'
+instants run one after the other with the cyclic collector paused, swapping
+which side goes first on every instant. A drift in the host's speed then hits
+both sides alike, which resolves differences of about 1% that separate
+benchmark runs cannot. It prints B's summed time over A's and the median of the
 per-instant ratios; above 1 means B is slower. It also counts the instants
 whose work counters (alive, generated, micro-steps) differ between the sides.
 
@@ -21,7 +23,7 @@ few slow instants dominate, read 1.03 to 1.05 in the same A/A runs: judge
 by the median.
 
 This is a development aid, not part of perfbench; it imports perfbench's
-workload table and reads ``scenarios/young200.scn`` of this checkout.
+workload table and reads the scenario files of this checkout.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ sys.path.insert(0, os.path.join(REPO, "perfbench"))
 
 from workloads import FILE_SEED, WORKLOADS, scenario_text  # noqa: E402
 
-TIMED = ("young200", "wavefront")
+TIMED = ("young200", "wavefront", "entangled")
 
 
 def load_tree(package_dir: str, name: str):
@@ -57,11 +59,18 @@ def load_tree(package_dir: str, name: str):
     return package
 
 
+def scenario_file(name: str) -> str:
+    with open(os.path.join(REPO, "scenarios", f"{name}.scn"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def build(package, workload: str):
     """The workload's world in ``package``, and the instants it runs."""
+    if workload == "entangled":  # the shipped file as it is, at its own seed
+        spec = package.parse_scenario(scenario_file("entangled"))
+        return package.build_world(spec), spec.run_length
     wl = WORKLOADS[workload]
-    with open(os.path.join(REPO, "scenarios", "young200.scn"), encoding="utf-8") as fh:
-        spec = package.parse_scenario(scenario_text(wl, fh.read()))
+    spec = package.parse_scenario(scenario_text(wl, scenario_file("young200")))
     world = package.build_world(replace(spec, seed=FILE_SEED))
     return world, spec.run_length if wl.instants is None else wl.instants
 
