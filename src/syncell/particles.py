@@ -2,10 +2,11 @@
 
 One ``particle_stepper`` behavior moves every particle of a world, once per
 instant from the instant after its birth, in one ``step_particles`` call. A
-particle's step fuses inertia (move by the velocity) and bouncing (reflect
-whichever velocity component would carry it into a wall cell). Positions are
-continuous, in cell units, and particles spawn at the centre of their birth
-cell so a component never lands exactly on a cell boundary.
+particle's step works one velocity component at a time, x then y: it moves by
+the component (inertia) or, where that would land in a wall cell, flips it
+(bouncing). Positions are continuous, in cell units, and particles spawn at
+the centre of their birth cell so a component never lands exactly on a cell
+boundary.
 """
 
 from __future__ import annotations
@@ -36,31 +37,33 @@ class RealParticle:
 
 
 def step_particles(particles, walls: bytes, width: int, height: int) -> None:
-    """Move each particle by its velocity, then reflect off the walls run into.
+    """Move each particle by its velocity, one component at a time.
 
-    ``walls`` is the grid's wall mask, ``Grid.walls``; off-grid counts as
-    wall. Each offending component is flipped and restored to its pre-step
-    value, so a legal position stays legal and speed magnitude is conserved.
-    A corner hit flips both components. A step reads only its particle and
-    the mask, so order does not matter. Cells come from ``math.floor``,
-    faster than ``int``; they differ only on (-1, 0), off-grid for ``floor``
-    and the wall border ring for ``int``, both wall, so every reflection is
-    the same.
+    x moves first, checked at the pre-step y, then y, at the new x. A
+    component that would land on a wall (``walls``, the grid's wall mask
+    ``Grid.walls``, or off-grid) is flipped and its coordinate kept, so a
+    legal position stays legal and speed is conserved; a corner hit flips
+    both. A zero component is neither moved nor stored. A step reads only
+    its particle and the mask, so order does not matter. Cells come from
+    ``math.floor``, faster than ``int``; they differ only on (-1, 0),
+    off-grid for ``floor`` and the wall border ring for ``int``, both wall.
     """
     for p in particles:
-        x0, y0, vx, vy = p.fx, p.fy, p.vx, p.vy
-        fx, fy = x0 + vx, y0 + vy
+        vx, vy = p.vx, p.vy
         if vx:
-            x, y = floor(fx), floor(y0)
+            fx = p.fx + vx
+            x, y = floor(fx), floor(p.fy)
             if not (0 <= x < width and 0 <= y < height) or walls[y * width + x]:
                 p.vx = -vx
-                fx = x0
+            else:
+                p.fx = fx
         if vy:
-            x, y = floor(fx), floor(fy)
+            fy = p.fy + vy
+            x, y = floor(p.fx), floor(fy)
             if not (0 <= x < width and 0 <= y < height) or walls[y * width + x]:
                 p.vy = -vy
-                fy = y0
-        p.fx, p.fy = fx, fy
+            else:
+                p.fy = fy
 
 
 def particle_stepper(world):

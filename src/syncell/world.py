@@ -255,11 +255,6 @@ def start_cell(world: World, c: Cell, ctx: MeasurementContext) -> None:
     world.sched.spawn(cell_behavior(world, c), world.grid.linear(c.x, c.y))
 
 
-def cell_reset(world: World, c: Cell) -> None:
-    c.basic_state = 0
-    world.visible.pop(c, None)
-
-
 def cell_behavior(world: World, c: Cell):
     """The non-terminating cycle of one cell (see the module docstring).
 
@@ -270,27 +265,27 @@ def cell_behavior(world: World, c: Cell):
     while True:
         # resumes the instant after the trigger, with every activation of it
         activations = yield collect_trigger
-        first_ctx = activations[0][1]
-        for a in activations:
-            if a[1] is not first_ctx:
-                world.ctx_collisions += 1
-                break
-        # combine: the states add up, plus one; the last activation sets
-        # the context
+        # combine: the states add up, plus one; the last activation, left in
+        # a, sets the context, and any other context in them is a collision
         state = c.basic_state + 1
         for a in activations:
             state += a[0]
         c.basic_state = state % world.base
-        c.ctx = activations[-1][1]
-        del activations, first_ctx, a  # freed now, not when next triggered
-        world.visible[c] = c.ctx
+        c.ctx = ctx = a[1]
+        for a in activations:
+            if a[1] is not ctx:
+                world.ctx_collisions += 1
+                break
+        del activations, a  # freed now, not when next triggered
+        world.visible[c] = ctx
         if c in world.zone_cells:
             world.sched.generate(world.contact, c)
-        if (yield c.ctx.collect_measure):
+        if (yield ctx.collect_measure):
             yield from reduce(world, c)
         else:
             awake_neighbourhood(world, c)
-        cell_reset(world, c)
+        c.basic_state = 0  # reset: state 0 and no longer visible
+        del world.visible[c], ctx
 
 
 from .measure import reduce  # noqa: E402  (last: measure imports this module)

@@ -42,12 +42,31 @@ def test_the_entangled_workload_is_the_shipped_file_at_its_own_seed_and_length(t
     assert len(a_ns) == len(b_ns) == 120 and mismatched == 0
 
 
+def test_each_load_order_runs_in_a_fresh_child_process(tool, monkeypatch):
+    # the child imports the tool by its module name, from the parent's sys.path
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.setitem(sys.modules, "interleave", tool)
+    for b_first in (False, True):
+        a_ns, b_ns, mismatched = tool.run_order(SRC, SRC, "wavefront", b_first, instants=5)
+        assert len(a_ns) == len(b_ns) == 5 and mismatched == 0
+    assert not any(name.startswith("syncell_interleave_") for name in sys.modules)
+
+
 def test_main_prints_the_summed_and_the_median_ratio(tool, monkeypatch, capsys):
-    times = ([100, 300], [110, 300], 1)
-    monkeypatch.setattr(tool, "interleave", lambda a, b, workload: times)
+    # one block per load order, A first, then B
+    orders = []
+
+    def run_order(a, b, workload, b_first):
+        orders.append(b_first)
+        return ([100, 300], [90, 300], 0) if b_first else ([100, 300], [110, 300], 1)
+
+    monkeypatch.setattr(tool, "run_order", run_order)
     assert tool.main([SRC, SRC, "--workload", "wavefront"]) == 0
+    assert orders == [False, True]
     assert capsys.readouterr().out.splitlines() == [
-        "wavefront: 2 instants, A 0.000 s, B 0.000 s",
+        "wavefront, A loaded first: 2 instants, A 0.000 s, B 0.000 s",
         "B/A summed 1.0250 (+2.50%), per-instant median 1.0500 (+5.00%)",
         "warning: 1 instants did different work on the two sides",
+        "wavefront, B loaded first: 2 instants, A 0.000 s, B 0.000 s",
+        "B/A summed 0.9750 (-2.50%), per-instant median 0.9500 (-5.00%)",
     ]

@@ -1,5 +1,7 @@
 """Inertia, bouncing, containment, and the particle stepper."""
 
+from math import floor
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -138,6 +140,57 @@ def test_stepping_a_list_equals_stepping_each_particle_alone(data):
         return (p.fx, p.fy, p.vx, p.vy, p.state)
 
     assert [state(p) for p in together] == [state(p) for p in alone]
+
+
+def reference_step(p, walls, width, height):
+    """One step as ``step_particles``' docstring states it, written apart from
+    it: both coordinates are computed and stored on every step. x moves first,
+    checked at the pre-step y, then y, at the new x; a non-zero component
+    that would land on a wall or off the grid flips and keeps its coordinate."""
+
+    def wall(fx, fy):
+        x, y = floor(fx), floor(fy)
+        return not (0 <= x < width and 0 <= y < height) or walls[y * width + x]
+
+    fx, fy = p.fx + p.vx, p.fy + p.vy
+    if p.vx and wall(fx, p.fy):
+        p.vx, fx = -p.vx, p.fx
+    if p.vy and wall(fx, fy):
+        p.vy, fy = -p.vy, p.fy
+    p.fx, p.fy = fx, fy
+
+
+_COMPONENT = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), _SPEED)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_step_particles_equals_the_reference_step(data):
+    width, height = data.draw(st.integers(3, 16)), data.draw(st.integers(3, 16))
+    bricks = st.tuples(st.integers(1, width - 2), st.integers(1, height - 2))
+    mask = bytearray(width * height)
+    for x, y in data.draw(st.lists(bricks, max_size=width * height // 4)):
+        mask[y * width + x] = 1
+    walls = World(width, height, walls=mask).grid.walls
+    # any cell, the border ring of walls and the bricks too
+    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    starts = [
+        (x + data.draw(_UNIT), y + data.draw(_UNIT), data.draw(_COMPONENT), data.draw(_COMPONENT))
+        for x, y in data.draw(st.lists(cells, min_size=1, max_size=8))
+    ]
+    steps = data.draw(st.integers(1, 40))
+
+    stepped = [RealParticle(*start, 0) for start in starts]
+    reference = [RealParticle(*start, 0) for start in starts]
+    for _ in range(steps):
+        step_particles(stepped, walls, width, height)
+        for p in reference:
+            reference_step(p, walls, width, height)
+
+    def state(p):
+        return (p.fx, p.fy, p.vx, p.vy)
+
+    assert [state(p) for p in stepped] == [state(p) for p in reference]
 
 
 def test_trajectory_is_deterministic():

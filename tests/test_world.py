@@ -7,7 +7,8 @@ import pytest
 from syncell import COOPERATE, DOWN, UP, World
 from syncell.kernel import Await, AwaitCollect, Collect
 from syncell.scenario import fire
-from syncell.world import awake_neighbourhood, cell_behavior, cell_reset
+from syncell.measure import REDUCE_WINDOW
+from syncell.world import awake_neighbourhood, cell_behavior
 
 
 def open_world(width=31, height=31, seed=0):
@@ -222,35 +223,61 @@ def test_a_visible_cell_yields_its_contexts_one_collect():
     assert ctx.collect_measure.event is ctx.measure
 
 
-def test_cell_behavior_frame_holds_at_most_nine_locals():
+def test_cell_behavior_frame_holds_at_most_seven_locals():
     # every started cell keeps one suspended cell_behavior frame, so each
     # further local costs 8 B per started cell
-    assert cell_behavior.__code__.co_nlocals <= 9
+    assert cell_behavior.__code__.co_nlocals <= 7
 
 
-def test_cell_reset_is_idempotent_and_restores_initial_state():
+def lone_cycle(w, c, feeder, feeder_first=False):
+    """Start ``c``'s behavior and ``feeder`` (by default after it, so it runs
+    after the cell in every instant), then run instants; after each, note the
+    cell's state and whether it is visible."""
+    gens = [cell_behavior(w, c), feeder()]
+    for gen in gens[::-1] if feeder_first else gens:
+        w.sched.spawn(gen)
+    seen = []
+    for _ in range(REDUCE_WINDOW + 3):
+        w.sched.run_instant()
+        seen.append((c.basic_state, w.visible.get(c)))
+    return seen
+
+
+@pytest.mark.parametrize("measured", [False, True], ids=["transmit", "reduce"])
+def test_a_cycle_ends_with_state_0_and_the_cell_out_of_visible(measured):
     w = World(9, 9)
-    c = prepared_cell(w, 4, 4, UP, state=3)
-    w.visible[c] = c.ctx
-    cell_reset(w, c)
-    assert c.basic_state == 0 and c not in w.visible
-    cell_reset(w, c)
-    assert c.basic_state == 0 and c not in w.visible
+    c = w.grid.cell(4, 4)
+    ctx = w.new_context(UP)
+
+    def feeder():
+        w.sched.generate(c, (2, ctx))  # instant 0: the trigger
+        yield COOPERATE
+        if measured:  # instant 1: the cell becomes visible and is measured
+            w.sched.generate(ctx.measure, ())
+
+    seen = lone_cycle(w, c, feeder)
+    # combined in instant 1; the cycle ends in instant 2 when it transmits,
+    # in the instant it launches its particle when it reduces
+    end = 1 + REDUCE_WINDOW if measured else 2
+    assert seen == [(0, None)] + [(3, ctx)] * (end - 1) + [(0, None)] * (len(seen) - end)
+    assert len(w.particles) == measured
+    assert len(c.waiters) == 1  # parked on its trigger again
 
 
-def test_cell_reset_leaves_pending_trigger_values_alone():
-    # event buffers belong to the kernel, not to the cell
+@pytest.mark.parametrize("feeder_first", [True, False], ids=["before", "after"])
+def test_a_cell_triggered_in_the_instant_it_resets_collects_it_in_the_next(feeder_first):
     w = World(9, 9)
-    c = prepared_cell(w, 4, 4, UP, state=3)
-    seen = {}
+    c = w.grid.cell(4, 4)
+    ctx, again = w.new_context(UP), w.new_context(DOWN)
 
-    def act():
-        w.sched.generate(c, "pending")
-        cell_reset(w, c)
-        seen["values"] = list(c.values)
+    def feeder():
+        w.sched.generate(c, (2, ctx))  # instant 0: the trigger
+        yield COOPERATE
+        yield COOPERATE
+        w.sched.generate(c, (1, again))  # instant 2: the cell transmits and resets
 
-    in_active_phase(w, act)
-    assert seen["values"] == ["pending"]
+    seen = lone_cycle(w, c, feeder, feeder_first)
+    assert seen[:5] == [(0, None), (3, ctx), (0, None), (2, again), (0, None)]
 
 
 def test_an_event_at_rest_holds_no_list():

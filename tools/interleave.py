@@ -10,17 +10,20 @@ shipped world whose two contexts share a measurement event. The two worlds'
 instants run one after the other with the cyclic collector paused, swapping
 which side goes first on every instant. A drift in the host's speed then hits
 both sides alike, which resolves differences of about 1% that separate
-benchmark runs cannot. It prints B's summed time over A's and the median of the
-per-instant ratios; above 1 means B is slower. It also counts the instants
-whose work counters (alive, generated, micro-steps) differ between the sides.
+benchmark runs cannot.
+
+Which tree is loaded and built first still biases the ratio by about 0.5% to
+1%: on a shared 2-vCPU Xeon, A/A per-instant medians read 0.995 to 1.011
+under CPython 3.11 (1.015 once under 3.10). So the tool runs both load
+orders, A first and then B first, each in a fresh ``spawn`` child process,
+one after the other. For each order it prints B's summed time over A's and
+the median of the per-instant ratios; above 1 means B is slower. It also
+counts the instants whose work counters (alive, generated, micro-steps)
+differ between the sides. The summed ratio, which a few slow instants
+dominate, read 1.03 to 1.05 in the same A/A runs: judge by the medians.
 
 Only ``run_instant`` is timed: the set-up and the ``frames`` workload's
-rendering and frame writing are not covered. Which tree is loaded and built
-first still biases the ratio by about 0.5% to 1%: on a shared 2-vCPU Xeon,
-A/A per-instant medians read 0.995 to 1.011 under CPython 3.11 (1.015 once
-under 3.10), so run an A/B pair in both orders. The summed ratio, which a
-few slow instants dominate, read 1.03 to 1.05 in the same A/A runs: judge
-by the median.
+rendering and frame writing are not covered.
 
 This is a development aid, not part of perfbench; it imports perfbench's
 workload table and reads the scenario files of this checkout.
@@ -35,7 +38,9 @@ import os
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "perfbench"))
@@ -104,21 +109,34 @@ def interleave(tree_a: str, tree_b: str, workload: str, instants: int | None = N
     return sides[0][1], sides[1][1], mismatched
 
 
+def run_order(tree_a: str, tree_b: str, workload: str, b_first: bool, instants: int | None = None):
+    """``interleave`` in one load order, B's tree loaded and built first if
+    ``b_first``, in a fresh ``spawn`` child process: no order inherits the
+    other's modules or heap. A's and B's times and the mismatch count."""
+    first, second = (tree_b, tree_a) if b_first else (tree_a, tree_b)
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        first_ns, second_ns, mismatched = pool.submit(
+            interleave, first, second, workload, instants
+        ).result()
+    return (second_ns, first_ns, mismatched) if b_first else (first_ns, second_ns, mismatched)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="interleave", description=__doc__.split("\n")[0])
     parser.add_argument("tree_a", help="the baseline package directory, a src/syncell")
     parser.add_argument("tree_b", help="the package directory timed against it")
     parser.add_argument("--workload", choices=TIMED, required=True)
     args = parser.parse_args(argv)
-    a_ns, b_ns, mismatched = interleave(args.tree_a, args.tree_b, args.workload)
-    summed = sum(b_ns) / sum(a_ns)
-    median = statistics.median(b / a for a, b in zip(a_ns, b_ns))
-    print(f"{args.workload}: {len(a_ns)} instants, A {sum(a_ns) / 1e9:.3f} s, "
-          f"B {sum(b_ns) / 1e9:.3f} s")
-    print(f"B/A summed {summed:.4f} ({summed - 1:+.2%}), "
-          f"per-instant median {median:.4f} ({median - 1:+.2%})")
-    if mismatched:
-        print(f"warning: {mismatched} instants did different work on the two sides")
+    for b_first in (False, True):
+        a_ns, b_ns, mismatched = run_order(args.tree_a, args.tree_b, args.workload, b_first)
+        summed = sum(b_ns) / sum(a_ns)
+        median = statistics.median(b / a for a, b in zip(a_ns, b_ns))
+        print(f"{args.workload}, {'B' if b_first else 'A'} loaded first: {len(a_ns)} instants, "
+              f"A {sum(a_ns) / 1e9:.3f} s, B {sum(b_ns) / 1e9:.3f} s")
+        print(f"B/A summed {summed:.4f} ({summed - 1:+.2%}), "
+              f"per-instant median {median:.4f} ({median - 1:+.2%})")
+        if mismatched:
+            print(f"warning: {mismatched} instants did different work on the two sides")
     return 0
 
 
