@@ -4,7 +4,9 @@ Time advances in discrete *instants*. During the active phase of an instant,
 runnable behaviors take micro-steps until every behavior is suspended or
 finished; everything that happens inside one instant counts as simultaneous.
 The end-of-instant phase then snapshots the values collected on each event
-and puts every event back at rest, after which the clock advances.
+and puts every event back at rest, after which the clock advances. During
+the active phase, ``e.values`` holds the values generated on ``e`` so far in
+the instant, in order; it is empty while ``e`` is absent.
 
 A behavior is a generator. It suspends by yielding a command, a description
 the kernel only reads, so any behavior may yield one command object again:
@@ -81,12 +83,8 @@ class Event:
         # parked behaviors: (bid, gen, None) awaits, (bid, gen, self) collects
         self.waiters: list[tuple] | tuple = ()
 
-    @property
-    def present(self) -> bool:
-        return bool(self.values)
-
     def __repr__(self):
-        return f"Event(present={self.present}, values={self.values!r})"
+        return f"Event(present={bool(self.values)}, values={self.values!r})"
 
 
 class Await:
@@ -137,7 +135,7 @@ class InstantReport:
 
 
 class Scheduler:
-    """Drives behaviors through instants; ``new_event`` makes a fresh event.
+    """Drives behaviors through instants.
 
     ``clock``, the next instant to run, and ``active`` are read-only, set by ``run_instant``."""
 
@@ -153,9 +151,6 @@ class Scheduler:
         # one byte per spawn id given out: 0 fresh, 1 reserved and free, 2 held
         self._ids = bytearray()
         self.alive = 0
-
-    def new_event(self) -> Event:
-        return Event()
 
     def reserve(self, n: int) -> range:
         """Set aside ``n`` consecutive spawn ids for ``spawn(gen, bid)``; each is

@@ -87,10 +87,7 @@ def reduce(world: World, c: Cell):
         else:
             state = c.basic_state
             sched.generate(ctx.measure, state)
-        if ctx.spawn_velocity is not None:
-            vx, vy = ctx.spawn_velocity
-        else:
-            vx, vy = 0.0, float(ctx.direction)
+        vx, vy = ctx.spawn_velocity
         p = RealParticle(c.x + 0.5, c.y + 0.5, vx, vy, state)
         world.add_particle(p)
         world.stats.reductions.append(ReductionRecord(sched.clock, ctx.serial, me, state))

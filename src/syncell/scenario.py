@@ -240,8 +240,8 @@ def fire(
 
     The measurement event is the caller's: fresh per shot from a standard
     source, shared by both beams of an entangled one, where it also carries
-    the pair's outcome. ``spawn_velocity`` optionally overrides the
-    axis-aligned velocity of the particle this emission may end in.
+    the pair's outcome. ``spawn_velocity`` is the velocity of the particle
+    this emission may end in (``MeasurementContext``; None is axis-aligned).
     A wall has no cell: firing into one (``cell`` None) raises ScenarioError.
     """
     if cell is None:
@@ -263,23 +263,20 @@ def emitter(world: World, spec: SourceSpec):
     """Fire the source's beams ``shots`` times, ``period`` instants apart.
 
     The beams of one shot share a fresh measurement event, so they collapse
-    together, to one outcome. With a velocity override, a missing ``vx`` is
-    0 and a missing ``vy`` is the beam's own direction; a given ``vy`` is
-    the first beam's, mirrored for the back beam. The emitter ends
-    ``period`` instants after its last shot.
+    together, to one outcome. Each beam's particle velocity is set once: a
+    missing ``vx`` is 0 and a missing ``vy`` is the source's direction; the
+    back beam mirrors ``vy``, so without overrides each beam's particle
+    moves along its own direction. The emitter ends ``period`` instants
+    after its last shot.
     """
+    vx = 0.0 if spec.vx is None else spec.vx
+    vy = float(spec.direction) if spec.vy is None else spec.vy
     beams = []
     for direction in _beam_directions(spec):
-        velocity = None
-        if spec.vx is not None or spec.vy is not None:
-            vx = 0.0 if spec.vx is None else spec.vx
-            vy = float(spec.direction) if spec.vy is None else spec.vy
-            velocity = (vx, vy if direction == spec.direction else -vy)
         cell = world.grid.cell(spec.x, spec.y + direction)
-        beams.append((cell, direction, velocity))
-    sched = world.sched
+        beams.append((cell, direction, (vx, vy if direction == spec.direction else -vy)))
     for _ in range(spec.shots):
-        measure = sched.new_event()
+        measure = Event()
         for cell, direction, velocity in beams:
             fire(world, cell, spec.state, direction, measure, velocity)
         for _ in range(spec.period):

@@ -55,8 +55,10 @@ class MeasurementContext:
     ``measure`` may be shared with a twin context (entanglement), and then
     also carries the pair's outcome state (``measure.reduce``); ``signal``
     never is shared. ``collect_measure`` is the one ``Collect(measure)``
-    that every member cell yields. The member cells are the entries of
-    ``World.visible`` registered with this context; it records nothing they do.
+    that every member cell yields. ``spawn_velocity`` is the ``(vx, vy)`` of
+    the particle its collapse launches; None gives ``(0.0, float(direction))``.
+    The member cells are the entries of ``World.visible`` registered with
+    this context; it records nothing they do.
     """
 
     __slots__ = ("direction", "measure", "collect_measure", "signal", "serial", "spawn_velocity")
@@ -74,7 +76,7 @@ class MeasurementContext:
         self.collect_measure = Collect(measure)
         self.signal = signal
         self.serial = serial
-        self.spawn_velocity = spawn_velocity
+        self.spawn_velocity = (0.0, float(direction)) if spawn_velocity is None else spawn_velocity
 
 
 class Cell(Event):
@@ -161,7 +163,7 @@ class World:
         self.sources: list = []
         self.detectors: list = []
         self.zone_cells: set[Cell] = set()  # each generates on contact when visible
-        self.contact = self.sched.new_event()
+        self.contact = Event()
         self.stats = RunStats()
         self.ctx_collisions = 0
         self.scenario_digest = "-"
@@ -176,8 +178,8 @@ class World:
         """Fresh context fired in ``direction``; pass ``measure`` to share it with a twin."""
         ctx = MeasurementContext(
             direction,
-            measure if measure is not None else self.sched.new_event(),
-            self.sched.new_event(),
+            measure if measure is not None else Event(),
+            Event(),
             self._ctx_serial,
             spawn_velocity,
         )

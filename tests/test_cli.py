@@ -190,14 +190,14 @@ def test_many_full_grid_walls_exit_2_in_bounded_time(tmp_path, capsys):
 def test_divergent_behavior_exits_3(tmp_path, capsys, monkeypatch):
     # rig a world whose first instant spins forever
     import syncell.scenario as scenario_mod
-    from syncell.kernel import Await
+    from syncell.kernel import Await, Event
 
     real_build = scenario_mod.build_world
 
     def sabotaged(spec):
         world = real_build(spec)
         world.sched.microstep_budget = 500
-        e = world.sched.new_event()
+        e = Event()
 
         def spinner():
             while True:

@@ -22,7 +22,7 @@ from syncell import (
     parse_scenario,
     scenario,
 )
-from syncell.kernel import Await, DivergenceError, Scheduler
+from syncell.kernel import Await, DivergenceError, Event, Scheduler
 from syncell.scenario import WallSpec
 from syncell.world import MeasurementContext, cell_behavior
 
@@ -74,7 +74,7 @@ def ticker():
 def diverging_world():
     w = World(5, 5)
     w.sched.microstep_budget = 50
-    e = w.sched.new_event()
+    e = Event()
 
     def spinner():
         while True:

@@ -12,12 +12,22 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from syncell import UP, Event, MeasurementContext, build_world, load_scenario, parse_scenario
+import syncell.world
+from syncell import (
+    UP,
+    Event,
+    MeasurementContext,
+    Scheduler,
+    build_world,
+    load_scenario,
+    parse_scenario,
+)
 from syncell.scenario import ScenarioSpec, SourceSpec, run_world
 from syncell.world import start_cell
 
+from reference_scheduler import ReferenceScheduler
 from test_measure import _horizon, _measured_worlds, cells_of
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -214,10 +224,56 @@ TRACE_GOLDEN = {
 }
 
 
+# a test that sets syncell.world.Scheduler to one of these builds every World on it
+SCHEDULERS = {"kernel": Scheduler, "reference": ReferenceScheduler}
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("case", sorted(TRACE_CASES))
-def test_per_instant_evolution_is_pinned(case):
+def test_per_instant_evolution_is_pinned(case, scheduler, monkeypatch):
+    monkeypatch.setattr(syncell.world, "Scheduler", SCHEDULERS[scheduler])
     make, instants = TRACE_CASES[case]
     assert trace_digest(make(), instants) == TRACE_GOLDEN[case]
+
+
+def reported_trace(spec, scheduler) -> tuple[list[str], list]:
+    """``trace_links`` of ``spec`` up to its ``_horizon``, run on ``scheduler``,
+    and the ``InstantReport`` of every instant."""
+    reports = []
+
+    def record_reports(world):
+        assert type(world.sched) is scheduler
+        run_instant = world.sched.run_instant
+
+        def recorded():
+            reports.append(run_instant())
+            return reports[-1]
+
+        world.sched.run_instant = recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(syncell.world, "Scheduler", scheduler)
+        links = trace_links(spec, _horizon(spec), record_reports)
+    return links, reports
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_measured_worlds())
+def test_generated_worlds_evolve_alike_on_the_kernel_and_the_reference_scheduler(spec):
+    assert reported_trace(spec, Scheduler) == reported_trace(spec, ReferenceScheduler)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_measured_worlds(), st.integers(0, 2**16))
+def test_generated_evolution_is_seed_independent_up_to_the_first_reduction(spec, seed):
+    instants = _horizon(spec)
+    worlds = []
+    links = trace_links(spec, instants, worlds.append)
+    assert trace_links(spec, instants) == links
+    # the first draw publishes its outcome in the first reduction instant; the
+    # links are chained, so equal prefixes mean equal instants up to it
+    first = min((red.instant for red in worlds[0].stats.reductions), default=len(links) - 1)
+    assert trace_links(replace(spec, seed=seed), instants)[:first] == links[:first]
 
 
 # -- cells started by their first trigger against cells started at build ---------

@@ -9,6 +9,7 @@ from syncell.kernel import (
     COOPERATE,
     Collect,
     DivergenceError,
+    Event,
     KernelError,
     PhaseError,
     Scheduler,
@@ -21,18 +22,17 @@ def drive(sched, instants):
     return [sched.run_instant() for _ in range(instants)]
 
 
-def test_new_event_is_fresh_and_unique():
+def test_an_event_is_made_at_rest():
     s = Scheduler()
-    a, b = s.new_event(), s.new_event()
-    assert a is not b
+    a, b = Event(), Event()
     for e in (a, b):
-        assert e.present is False and e.values == () and e.waiters == ()
+        assert e.values == () and e.waiters == ()
 
     seen = []
 
     def producer():
         s.generate(a, 1)
-        seen.append((list(a.values), b.present, b.values))  # the shared () stays empty
+        seen.append((list(a.values), bool(b.values), b.values))  # the shared () stays empty
         yield COOPERATE
 
     s.spawn(producer())
@@ -42,7 +42,7 @@ def test_new_event_is_fresh_and_unique():
 
 def test_event_outlives_instants_with_cleared_buffers():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     seen = []
 
     def producer():
@@ -53,7 +53,7 @@ def test_event_outlives_instants_with_cleared_buffers():
 
     def checker():
         for _ in range(9):
-            seen.append((s.clock, e.present, list(e.values)))
+            seen.append((s.clock, bool(e.values), list(e.values)))
             yield COOPERATE
 
     s.spawn(producer())
@@ -68,15 +68,15 @@ def test_event_outlives_instants_with_cleared_buffers():
 
 def test_generate_appends_in_order_and_resets_next_instant():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     observed = {}
 
     def producer():
         s.generate(e, 3)
         s.generate(e, 5)
-        observed["during"] = (e.present, list(e.values))
+        observed["during"] = (bool(e.values), list(e.values))
         yield COOPERATE
-        observed["after"] = (e.present, list(e.values))
+        observed["after"] = (bool(e.values), list(e.values))
 
     s.spawn(producer())
     drive(s, 2)
@@ -86,7 +86,7 @@ def test_generate_appends_in_order_and_resets_next_instant():
 
 def test_await_resumes_in_generation_instant():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     resumed = []
 
     def waiter():
@@ -106,7 +106,7 @@ def test_await_resumes_in_generation_instant():
 
 def test_await_already_present_does_not_suspend():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     log = []
 
     def producer():
@@ -126,7 +126,7 @@ def test_await_already_present_does_not_suspend():
 
 def test_await_never_generated_suspends_forever():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
 
     def waiter():
         yield Await(e)
@@ -139,7 +139,7 @@ def test_await_never_generated_suspends_forever():
 
 def test_collect_returns_exactly_the_opening_instants_values():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     got = []
 
     def collector():
@@ -160,7 +160,7 @@ def test_collect_returns_exactly_the_opening_instants_values():
 
 def test_await_collect_on_present_event_collects_the_whole_instant():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     got = []
 
     def early():
@@ -183,7 +183,7 @@ def test_await_collect_on_present_event_collects_the_whole_instant():
 
 def test_await_and_await_collect_share_one_event():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     log = []
 
     def collector():
@@ -210,7 +210,7 @@ def test_await_and_await_collect_share_one_event():
 
 def test_woken_behavior_runs_after_every_admitted_behavior():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     order = []
 
     def sleeper():  # bid 0: parked since instant 0
@@ -240,7 +240,7 @@ def test_woken_behavior_runs_after_every_admitted_behavior():
 
 def test_collect_absent_event_yields_empty_list():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     got = []
 
     def collector():
@@ -256,7 +256,7 @@ def test_one_collect_command_yielded_by_two_behaviors_in_several_instants():
     # a command is a description: the cell cycle yields one Collect per
     # measurement context from every member cell, cycle after cycle
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     shared = Collect(e)
     got = {"a": [], "b": []}
 
@@ -361,7 +361,7 @@ def test_children_and_grandchildren_spawned_in_an_instant_start_in_it():
 def test_plain_and_reserved_spawns_in_an_instant_are_queued_like_wake_ups():
     s = Scheduler()
     ids = s.reserve(2)
-    e = s.new_event()
+    e = Event()
     log = []
 
     def child(name):
@@ -498,7 +498,7 @@ def test_empty_scheduler_instant_report():
 
 def test_instant_report_counts_every_generated_value():
     s = Scheduler()
-    a, b, c, d = (s.new_event() for _ in range(4))
+    a, b, c, d = (Event() for _ in range(4))
     got = []
 
     def collector():  # reads a at the end of the instant it is generated in
@@ -539,7 +539,7 @@ def test_cooperate_loop_runs_one_step_per_instant_forever():
 
 def test_same_instant_self_wake_loop_hits_divergence_budget():
     s = Scheduler(microstep_budget=1000)
-    e = s.new_event()
+    e = Event()
 
     def spinner():
         while True:
@@ -553,7 +553,7 @@ def test_same_instant_self_wake_loop_hits_divergence_budget():
 
 def test_generate_outside_active_phase_is_rejected():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     with pytest.raises(PhaseError):
         s.generate(e, 1)
     woke = []
@@ -686,7 +686,7 @@ _programs = st.lists(_scripts, min_size=1, max_size=5)
 
 def _run_program(program, instants=30, split=False):
     sched = Scheduler(microstep_budget=10_000)
-    events = [sched.new_event() for _ in range(3)]
+    events = [Event() for _ in range(3)]
     trace, pool = [], []
     for i, script in enumerate(program):
         sched.spawn(_interp(sched, events, script, trace, i, split, pool))
@@ -738,7 +738,7 @@ def _run_gaps(sched, gaps, instants=30):
     ``alive`` before each instant, and where the micro-step budget ran out.
     Each collected value is traced as received, so the trace compares types
     too, and ``_collected_once`` checks it."""
-    events = [sched.new_event() for _ in range(3)]
+    events = [Event() for _ in range(3)]
     trace, pool = [], []
     for clock in range(instants):
         if clock < len(gaps):
@@ -776,7 +776,7 @@ def test_property_broadcast_wakes_every_awaiter_in_the_generation_instant(
     n_waiters, delay
 ):
     sched = Scheduler()
-    e = sched.new_event()
+    e = Event()
     resumed = []
 
     def waiter(i):
@@ -804,7 +804,7 @@ def test_property_broadcast_wakes_every_awaiter_in_the_generation_instant(
 def test_property_collect_is_exactly_the_opening_instant_multiset(plan, open_at):
     """plan: (instant, value) generations; a collector opens at open_at."""
     sched = Scheduler()
-    e = sched.new_event()
+    e = Event()
     got = []
 
     def producer():
@@ -833,7 +833,7 @@ def test_property_collect_is_exactly_the_opening_instant_multiset(plan, open_at)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=10))
 def test_property_buffers_are_reset_at_every_instant_boundary(gens):
     sched = Scheduler()
-    events = [sched.new_event() for _ in range(3)]
+    events = [Event() for _ in range(3)]
 
     def producer():
         by_instant = {}
@@ -848,12 +848,12 @@ def test_property_buffers_are_reset_at_every_instant_boundary(gens):
     for _ in range(7):
         sched.run_instant()
         for e in events:
-            assert e.present is False and e.values == ()
+            assert e.values == ()
 
 
 def test_instant_start_admits_resumptions_and_between_instant_spawns_in_id_order():
     s = Scheduler()
-    e = s.new_event()
+    e = Event()
     order = []
 
     def collector():  # bid 0: resumes from Collect
@@ -866,15 +866,15 @@ def test_instant_start_admits_resumptions_and_between_instant_spawns_in_id_order
 
     def spawner():  # bid 2: spawns bid 3, which starts in instant 0
         s.spawn(child())
-        yield Await(s.new_event())
+        yield Await(Event())
 
     def child():
         order.append("child")
-        yield Await(s.new_event())
+        yield Await(Event())
 
     def late():  # bid 4: spawned between instants
         order.append("late")
-        yield Await(s.new_event())
+        yield Await(Event())
 
     for gen in (collector(), cooperator(), spawner()):
         s.spawn(gen)

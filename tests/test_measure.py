@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from syncell import AwaitCollect, COOPERATE, DOWN, UP, World, load_scenario, measure
+from syncell import AwaitCollect, COOPERATE, DOWN, Event, UP, World, load_scenario, measure
 from syncell.measure import REDUCE_WINDOW, choose
 from syncell.scenario import (
     DetectorSpec,
@@ -69,7 +69,7 @@ def reduce_elected(states):
     states and the values broadcast on the event, by instant; ``reduce``
     starts in instant 0, the one after the measurement it reacts to."""
     w = World(9, 9)
-    event = w.sched.new_event()
+    event = Event()
     broadcasts = {}
 
     def listener():
@@ -476,33 +476,3 @@ def test_one_detector_behavior_serves_every_detector():
     assert w.zone_cells == {
         c for c in cells_of(w.grid) if 3 <= c.y <= 12
     }
-
-
-def evolution(spec, instants):
-    """The world after ``instants`` instants and its state after each one:
-    sorted visible ``(x, y, state, ctx serial)``, every particle, and the
-    detections ``(instant, detector, ctx serial, census)`` so far."""
-    states = []
-
-    def record(w, report):
-        visible = sorted((c.x, c.y, c.basic_state, ctx.serial) for c, ctx in w.visible.items())
-        particles = [(p.fx, p.fy, p.vx, p.vy, p.state) for p in w.particles]
-        detections = [
-            (d.instant, d.detector, d.ctx_serial, d.state_counts) for d in w.stats.detections
-        ]
-        states.append((report.instant, visible, particles, detections))
-
-    w = build_world(spec)
-    w.run(instants, on_instant=record)
-    return w, states
-
-
-@settings(max_examples=40, deadline=None)
-@given(_measured_worlds(), st.integers(0, 2**16))
-def test_generated_evolution_is_seed_independent_up_to_the_first_reduction(spec, seed):
-    instants = _horizon(spec)
-    w, states = evolution(spec, instants)
-    assert evolution(spec, instants)[1] == states
-    # the first draw publishes its outcome in the first reduction instant
-    first = min((red.instant for red in w.stats.reductions), default=len(states))
-    assert evolution(replace(spec, seed=seed), instants)[1][:first] == states[:first]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from syncell import COOPERATE, FrameBuffer, UP, World
+from syncell import COOPERATE, Event, FrameBuffer, UP, World
 from syncell.particles import RealParticle
 from syncell.render import ASCII_CHARS, PALETTE, STATE0, WALL
 from syncell.scenario import ScenarioSpec, SourceSpec, DetectorSpec, build_world, fire
@@ -14,7 +14,7 @@ def fired_world():
     w = World(9, 9, seed=0)
 
     def igniter():
-        fire(w, w.grid.cell(4, 6), 1, UP, w.sched.new_event())
+        fire(w, w.grid.cell(4, 6), 1, UP, Event())
         yield COOPERATE
 
     w.sched.spawn(igniter())

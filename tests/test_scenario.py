@@ -178,7 +178,7 @@ def test_empty_world_has_dead_interior_and_brick_border():
     assert w.grid.walls.count(1) == 20 * 20 - 18 * 18
     assert len(interior) == 18 * 18
     assert w.visible == {}
-    assert all(c.basic_state == 0 and not c.present for c in interior)
+    assert all(c.basic_state == 0 and not c.values for c in interior)
     # a cell's behavior starts at its first trigger: none has one yet
     assert all(c.ctx is None for c in interior)
     assert w.sched.alive == 0
@@ -604,7 +604,7 @@ def test_standard_fire_builds_an_entirely_fresh_context():
 
     def igniter():
         for _ in range(2):
-            ctx = fire(w, w.grid.cell(10, 18), 0, UP, w.sched.new_event())
+            ctx = fire(w, w.grid.cell(10, 18), 0, UP, Event())
             seen.append(ctx)
             yield COOPERATE
 
@@ -638,7 +638,7 @@ def test_fire_into_a_wall_is_a_scenario_error():
     w = build_world(spec)
     for x, y in ((0, 7), (4, 5)):  # the border ring, then the wall
         with pytest.raises(ScenarioError, match="cannot fire into a wall"):
-            fire(w, w.grid.cell(x, y), 0, UP, w.sched.new_event())
+            fire(w, w.grid.cell(x, y), 0, UP, Event())
     assert w.sched.alive == 0 and not w.visible
 
 
@@ -663,7 +663,7 @@ def test_emitter_fires_its_first_shot_in_instant_0(monkeypatch):
     triggered = {}
 
     def trigger_spy():  # runs after the emitter in instant 0
-        triggered[w.sched.clock] = fired_cell.present
+        triggered[w.sched.clock] = bool(fired_cell.values)
         yield COOPERATE
 
     w.sched.spawn(trigger_spy())

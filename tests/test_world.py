@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from syncell import COOPERATE, DOWN, UP, World
-from syncell.kernel import Await, AwaitCollect, Collect
+from syncell.kernel import Await, AwaitCollect, Collect, Event
 from syncell.scenario import fire
 from syncell.measure import REDUCE_WINDOW
 from syncell.world import awake_neighbourhood, cell_behavior
@@ -17,7 +17,7 @@ def open_world(width=31, height=31, seed=0):
 
 def fire_once(w, x, y, state=0, direction=UP):
     def igniter():
-        fire(w, w.grid.cell(x, y), state, direction, w.sched.new_event())
+        fire(w, w.grid.cell(x, y), state, direction, Event())
         yield COOPERATE
 
     w.sched.spawn(igniter())
@@ -35,6 +35,9 @@ def test_a_grid_forces_its_border_ring_and_checks_its_wall_mask():
     for bad in (bytes(5 * 4 - 1), b"\2" * (5 * 4)):
         with pytest.raises(ValueError, match="wall mask"):
             World(5, 4, walls=bad)
+    for width, height in ((2, 9), (9, 2)):  # no interior inside the ring
+        with pytest.raises(ValueError, match="border ring"):
+            World(width, height)
 
 
 # -- triggering ----------------------------------------------------------------
@@ -62,7 +65,7 @@ def triggered_coords(w):
         (x, y)
         for y in range(w.grid.height)
         for x in range(w.grid.width)
-        if (c := w.grid.cell(x, y)) is not None and c.present
+        if (c := w.grid.cell(x, y)) is not None and c.values
     ]
 
 
@@ -102,7 +105,7 @@ def test_fire_hands_a_plain_tuple_to_its_cell():
     seen = {}
 
     def act():
-        seen["ctx"] = fire(w, c, 5, UP, w.sched.new_event())
+        seen["ctx"] = fire(w, c, 5, UP, Event())
         seen["values"] = list(c.values)
 
     in_active_phase(w, act)
@@ -285,7 +288,7 @@ def test_an_event_at_rest_holds_no_list():
     cell never triggered, and in an event again once the instant that
     generated, collected and awaited on it is over."""
     w = open_world(15, 15)
-    e = w.sched.new_event()
+    e = Event()
     assert (e.values, e.waiters) == ((), ())
     fire_once(w, 7, 12)
     got = []
@@ -341,7 +344,7 @@ def test_dead_cell_triggered_cycle_timing():
 
     def trigger_spy():  # runs after the igniter in every instant
         while True:
-            triggered[w.sched.clock] = target.present
+            triggered[w.sched.clock] = bool(target.values)
             yield COOPERATE
 
     w.sched.spawn(trigger_spy())
@@ -357,7 +360,7 @@ def test_dead_cell_triggered_cycle_timing():
     got = {}
 
     def spy():
-        got["above"] = (w.sched.clock, above.present)
+        got["above"] = (w.sched.clock, bool(above.values))
         yield COOPERATE
 
     w.sched.spawn(spy())
@@ -392,7 +395,7 @@ def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
     w.sched.run_instant()  # the cell and the spy park on their triggers
 
     def igniter():  # one step, in which it fires the cell
-        fire(w, c, 3, UP, w.sched.new_event())
+        fire(w, c, 3, UP, Event())
         if False:
             yield
 
