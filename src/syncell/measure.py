@@ -85,7 +85,7 @@ def reduce(world: World, c: Cell):
         if ctx.measure.values:  # the twin's elected member ran first
             state = ctx.measure.values[0]
         else:
-            state = c.basic_state
+            state = world.visible[c]
             sched.generate(ctx.measure, state)
         vx, vy = ctx.spawn_velocity
         p = RealParticle(c.x + 0.5, c.y + 0.5, vx, vy, state)

@@ -1,17 +1,16 @@
 """Real particles: the animated entities born from a collapse.
 
 One ``particle_stepper`` behavior moves every particle of a world, once per
-instant from the instant after its birth, in one ``step_particles`` call. A
-particle's step works one velocity component at a time, x then y: it moves by
-the component (inertia) or, where that would land in a wall cell, flips it
-(bouncing). Positions are continuous, in cell units, and particles spawn at
-the centre of their birth cell so a component never lands exactly on a cell
-boundary.
+instant from the instant after its birth, in one ``step_particles`` call at
+the head of the instant. A particle's step works one velocity component at a
+time, x then y: it moves by the component (inertia) or, where that would land
+in a wall cell, flips it (bouncing). Positions are continuous, in cell units,
+and particles spawn at the centre of their birth cell so a component never
+lands exactly on a cell boundary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import floor
 
 from .kernel import COOPERATE
@@ -66,12 +65,14 @@ def step_particles(particles, walls: bytes, width: int, height: int) -> None:
                 p.fy = fy
 
 
-def particle_stepper(world):
-    """Step, once per instant, the particles whose start instant has come:
-    a prefix of ``world.particles``, as ``world.particle_starts`` never falls."""
+def particle_stepper(world, spawned_in_an_instant: bool):
+    """Step all of ``world.particles`` at the head of every instant, before any
+    birth in it; spawned inside an instant, first wait for the next."""
     grid = world.grid
     walls, width, height = grid.walls, grid.width, grid.height
-    sched, particles, starts = world.sched, world.particles, world.particle_starts
+    particles = world.particles
+    if spawned_in_an_instant:
+        yield COOPERATE
     while True:
-        step_particles(particles[: bisect_right(starts, sched.clock)], walls, width, height)
+        step_particles(particles, walls, width, height)
         yield COOPERATE

@@ -69,8 +69,8 @@ class FrameBuffer:
             self.buf[:] = self._static
         width = self.width
         buf = self.buf
-        for c in world.visible:
-            buf[c.y * width + c.x] = STATE0 + c.basic_state
+        for c, s in world.visible.items():
+            buf[c.y * width + c.x] = STATE0 + s
         for p in world.particles:
             x, y = int(p.fx), int(p.fy)
             if 0 <= x < width and 0 <= y < self.height:

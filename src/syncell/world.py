@@ -1,16 +1,16 @@
 """The cellular world: grid, cells, and the transmit/collect cell cycle.
 
 A virtual particle is the set of visible cells of one emission: the keys of
-``World.visible`` whose value is that emission's context. An open site is one
+``World.visible`` whose ``ctx`` is that emission's context. An open site is one
 object, a ``Cell``, also its trigger event; it runs one ``cell_behavior`` from
 its first trigger on. The cycle of a triggered cell spans instants: no step
 runs in the instant it is triggered; one instant later it resumes with every
-activation of that instant, combines them, settles its state and becomes
+activation of that instant, combines them into its basic state and becomes
 visible, and one instant after that either retransmits (one ``(basic_state,
 ctx)`` tuple, generated on the three cells ahead in ``ctx.direction``) or, if
 its measurement event fired, runs the reduction (``measure.reduce``) as the
-last phase of the same cycle. Every cycle ends with the cell reset to state 0
-and dropped from ``World.visible``, so a wavefront row advances every two instants.
+last phase of the same cycle. Every cycle ends with the cell dropped from
+``World.visible``, so a wavefront row advances every two instants.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class MeasurementContext:
     never is shared. ``collect_measure`` is the one ``Collect(measure)``
     that every member cell yields. ``spawn_velocity`` is the ``(vx, vy)`` of
     the particle its collapse launches; None gives ``(0.0, float(direction))``.
-    The member cells are the entries of ``World.visible`` registered with
-    this context; it records nothing they do.
+    The member cells are the keys of ``World.visible`` whose ``ctx`` is this
+    context; it records nothing they do.
     """
 
     __slots__ = ("direction", "measure", "collect_measure", "signal", "serial", "spawn_velocity")
@@ -82,29 +82,28 @@ class MeasurementContext:
 class Cell(Event):
     """One open grid site, which is also its trigger event; a wall has none.
 
-    ``basic_state`` and ``ctx`` are only meaningful while the cell is in
-    ``World.visible`` (between its combine step and its reset); outside that
-    window they are leftovers of the previous cycle. The combine step takes
-    ``ctx`` from the last activation, a plain ``(basic_state, ctx)`` tuple;
-    it is None until one first reaches the cell. The cell runs a behavior
-    iff its ``ctx`` is not None.
+    Its basic state is its value in ``World.visible``, so it has one only
+    while visible (between its combine step and its reset). The combine step
+    takes ``ctx`` from the last activation, a plain ``(basic_state, ctx)``
+    tuple; while the cell is not visible, ``ctx`` is a leftover of its last
+    cycle, and None until an activation first reaches the cell. The cell runs
+    a behavior iff its ``ctx`` is not None.
 
     As an event it holds no list at rest: a cell never triggered holds none,
     and a parked cell only the one-entry waiter list made when it parks.
     """
 
-    __slots__ = ("x", "y", "basic_state", "ctx")
+    __slots__ = ("x", "y", "ctx")
 
     def __init__(self, x: int, y: int):
         # Event's fields at rest (an Event.__init__ call per open site slows the build)
         self.values = self.waiters = ()
         self.x = x
         self.y = y
-        self.basic_state = 0
         self.ctx: Optional[MeasurementContext] = None
 
     def __repr__(self):
-        return f"Cell({self.x},{self.y},s={self.basic_state})"
+        return f"Cell({self.x},{self.y})"
 
 
 class Grid:
@@ -156,10 +155,9 @@ class World:
         self.rng = random.Random(seed)
         self.seed = seed
         self.base = base
-        # visible cell -> its context, from the combine step to the reset
-        self.visible: dict[Cell, MeasurementContext] = {}
+        # visible cell -> its basic state, from the combine step to the reset
+        self.visible: dict[Cell, int] = {}
         self.particles: list = []
-        self.particle_starts: list[int] = []  # first instant each particle moves
         self.sources: list = []
         self.detectors: list = []
         self.zone_cells: set[Cell] = set()  # each generates on contact when visible
@@ -187,25 +185,24 @@ class World:
         return ctx
 
     def add_particle(self, p) -> None:
-        """Register a particle, to move from the next instant to start on; the
-        stepper is spawned on the first birth, so particle-free worlds go quiet."""
-        sched = self.sched
+        """Register a particle; it moves from the next instant to start on.
+        The first birth spawns the stepper under spawn id 0, no cell's (site
+        (0, 0) is wall), so it heads every start list; particle-free worlds go quiet."""
         if not self.particles:
-            sched.spawn(particle_stepper(self))
+            self.sched.spawn(particle_stepper(self, self.sched.active), 0)
         self.particles.append(p)
-        self.particle_starts.append(sched.clock + 1 if sched.active else sched.clock)
 
     # -- observation helpers ------------------------------------------------
 
     def snapshot(self):
         """Sorted (x, y, state) triples of every visible cell."""
-        return sorted((c.x, c.y, c.basic_state) for c in self.visible)
+        return sorted((c.x, c.y, s) for c, s in self.visible.items())
 
     def superposition_census(self, ctx: MeasurementContext) -> tuple[int, ...]:
         counts = [0] * self.base
-        for c, registered in self.visible.items():
-            if registered is ctx:
-                counts[c.basic_state] += 1
+        for c, s in self.visible.items():
+            if c.ctx is ctx:
+                counts[s] += 1
         return tuple(counts)
 
     def run(self, instants: int, on_instant=None) -> int:
@@ -239,9 +236,9 @@ def awake_neighbourhood(world: World, c: Cell) -> None:
     range check: a cell is never on the border ring of walls (``Grid``)."""
     sched, grid = world.sched, world.grid
     ctx = c.ctx
-    a = (c.basic_state, ctx)
     cells = grid._cells
     i = (c.y + ctx.direction) * grid.width + c.x
+    a = (world.visible[c], ctx)
     for t in (cells[i - 1], cells[i], cells[i + 1]):
         if t is not None:
             if t.ctx is None:
@@ -269,25 +266,23 @@ def cell_behavior(world: World, c: Cell):
         activations = yield collect_trigger
         # combine: the states add up, plus one; the last activation, left in
         # a, sets the context, and any other context in them is a collision
-        state = c.basic_state + 1
+        state = 1
         for a in activations:
             state += a[0]
-        c.basic_state = state % world.base
         c.ctx = ctx = a[1]
         for a in activations:
             if a[1] is not ctx:
                 world.ctx_collisions += 1
                 break
         del activations, a  # freed now, not when next triggered
-        world.visible[c] = ctx
+        world.visible[c] = state % world.base
         if c in world.zone_cells:
             world.sched.generate(world.contact, c)
         if (yield ctx.collect_measure):
             yield from reduce(world, c)
         else:
             awake_neighbourhood(world, c)
-        c.basic_state = 0  # reset: state 0 and no longer visible
-        del world.visible[c], ctx
+        del world.visible[c], ctx  # reset: no longer visible, so no state
 
 
 from .measure import reduce  # noqa: E402  (last: measure imports this module)

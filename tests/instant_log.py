@@ -23,7 +23,7 @@ class InstantLog:
 
     def __call__(self, world, report):
         assert report.instant == len(self.visible), "the log missed an instant"
-        cells = {c: ctx.serial for c, ctx in world.visible.items()}
+        cells = {c: c.ctx.serial for c in world.visible}
         self.visible.append(set(cells.values()))
         self.appeared.append({k for c, k in cells.items() if self._cells.get(c) != k})
         self._cells = cells

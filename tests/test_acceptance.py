@@ -279,8 +279,8 @@ def test_criterion_6_entanglement():
 
     def watch(world, report):
         log(world, report)
-        for ctx in world.visible.values():
-            assert measure_of.setdefault(ctx.serial, ctx.measure) is ctx.measure
+        for c in world.visible:
+            assert measure_of.setdefault(c.ctx.serial, c.ctx.measure) is c.ctx.measure
 
     world.run(spec.run_length, on_instant=watch)
 

@@ -1,10 +1,11 @@
 """Golden outputs of the shipped scenarios, pinned byte for byte.
 
 The output pins are the SHA-256 of the text report, the counts CSV and the
-final ``(fx, fy, vx, vy, state)`` of every real particle, in birth order. The
-per-instant pins chain a SHA-256 over the state after every instant, so they
-also catch a change that the final outputs happen to hide. A change to the
-engine that claims to leave behavior untouched must leave every pin as it is.
+final ``(fx, fy, vx, vy, state)`` of every real particle, in birth order; the
+frame pins, of every frame file a CLI run writes. The per-instant pins chain a
+SHA-256 over the state after every instant, so they also catch a change that
+the final outputs happen to hide. A change to the engine that claims to leave
+behavior untouched must leave every pin as it is.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from syncell import (
     load_scenario,
     parse_scenario,
 )
+from syncell.cli import EXIT_OK, main
 from syncell.scenario import ScenarioSpec, SourceSpec, run_world
 from syncell.world import start_cell
 
@@ -85,6 +87,33 @@ def test_young200_particles_after_the_full_run_are_pinned():
     assert digest == YOUNG200_PARTICLES_FULL
 
 
+# -- frames ---------------------------------------------------------------------
+
+# single.scn written as frames by the CLI: the flags, the files written, and
+# the SHA-256 over every frame_* file in name order, each as its name, a NUL
+# byte and its bytes
+FRAMES_GOLDEN = {
+    "ppm": ([], 220, "33b55bf8e0f349667bbab5ae06ae52b5ea8d234063666e87f4946d4033c1874c"),
+    "ppm-ascii-remanence": (
+        ["--ascii", "--remanence"],
+        440,
+        "f964fe8d6101737ca626a983fbd82021445b027233ea939a9f24e58c50ef87da",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAMES_GOLDEN))
+def test_shipped_scenario_frames_are_pinned(case, tmp_path):
+    flags, count, golden = FRAMES_GOLDEN[case]
+    scenario = str(SCENARIOS / "single.scn")
+    assert main(["run", "--scenario", scenario, "--frames", str(tmp_path), *flags]) == EXIT_OK
+    assert len(list(tmp_path.iterdir())) == count
+    digest = hashlib.sha256()
+    for frame in sorted(tmp_path.glob("frame_*")):
+        digest.update(frame.name.encode() + b"\0" + frame.read_bytes())
+    assert digest.hexdigest() == golden
+
+
 # -- per-instant state digests --------------------------------------------------
 
 # Two sources with different periods and states: one plain source with a
@@ -134,8 +163,8 @@ seed=5
 """
 
 
-def trace_links(spec, instants: int, prepare=None) -> list[str]:
-    """Run ``spec`` through ``run_world`` and chain a SHA-256 over every instant.
+def trace_links(spec, instants: int, prepare=None, reports=None) -> list[str]:
+    """Run ``spec`` through ``World.run`` and chain a SHA-256 over every instant.
 
     Each link hashes the previous link with the instant's canonical state:
     sorted visible ``(x, y, state, ctx serial)``, every particle's
@@ -146,7 +175,8 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
     so far, else None (its collapse has not ended). The last link also covers
     every detection's final chosen state. Event ids are left
     out: they number allocations, not behavior. ``prepare``, if given, is
-    called on the built world before its first instant. Returns one link per
+    called on the built world before its first instant; ``reports``, if
+    given, gets every instant's ``InstantReport``. Returns one link per
     instant executed, then the last link, in hex.
     """
     world = build_world(spec)
@@ -154,18 +184,15 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
         prepare(world)
     links = []
     stats = world.stats
-    sched = world.sched
-    run_instant = sched.run_instant
     seen = {"link": b"", "detections": 0, "reductions": 0}
 
     def chosen(d):
         return next((r.state for r in stats.reductions if r.ctx_serial == d.ctx_serial), None)
 
-    def traced():
-        report = run_instant()
-        visible = sorted(
-            (c.x, c.y, c.basic_state, ctx.serial) for c, ctx in world.visible.items()
-        )
+    def traced(world, report):
+        if reports is not None:
+            reports.append(report)
+        visible = sorted((c.x, c.y, s, c.ctx.serial) for c, s in world.visible.items())
         particles = [(p.fx, p.fy, p.vx, p.vy, p.state) for p in world.particles]
         detections = [
             (d.instant, d.detector, d.ctx_serial, d.size, d.state_counts, chosen(d))
@@ -180,10 +207,8 @@ def trace_links(spec, instants: int, prepare=None) -> list[str]:
         blob = repr((report.instant, visible, particles, detections, reductions))
         seen["link"] = hashlib.sha256(seen["link"] + blob.encode()).digest()
         links.append(seen["link"].hex())
-        return report
 
-    sched.run_instant = traced
-    run_world(world, instants)
+    world.run(instants, on_instant=traced)
     final = repr([chosen(d) for d in stats.detections])
     return links + [hashlib.sha256(seen["link"] + final.encode()).hexdigest()]
 
@@ -241,19 +266,12 @@ def reported_trace(spec, scheduler) -> tuple[list[str], list]:
     and the ``InstantReport`` of every instant."""
     reports = []
 
-    def record_reports(world):
+    def check_scheduler(world):
         assert type(world.sched) is scheduler
-        run_instant = world.sched.run_instant
-
-        def recorded():
-            reports.append(run_instant())
-            return reports[-1]
-
-        world.sched.run_instant = recorded
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(syncell.world, "Scheduler", scheduler)
-        links = trace_links(spec, _horizon(spec), record_reports)
+        links = trace_links(spec, _horizon(spec), check_scheduler, reports)
     return links, reports
 
 

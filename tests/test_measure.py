@@ -79,8 +79,8 @@ def reduce_elected(states):
 
     for i, state in enumerate(states):
         c = w.grid.cell(2 + 2 * i, 4)
-        c.basic_state = state
         c.ctx = w.new_context(UP, event)
+        w.visible[c] = state
         w.sched.spawn(measure.reduce(w, c))
     w.sched.spawn(listener())
     w.run(REDUCE_WINDOW + 1)
@@ -154,8 +154,8 @@ def test_the_roll_call_broadcasts_the_elected_id():
     def listener():
         while not w.stats.detections:
             yield COOPERATE
-        ctx = next(iter(w.visible.values()))
-        heard.append(sorted(w.grid.linear(c.x, c.y) for c, x in w.visible.items() if x is ctx))
+        ctx = next(iter(w.visible)).ctx
+        heard.append(sorted(w.grid.linear(c.x, c.y) for c in w.visible if c.ctx is ctx))
         while True:
             values = yield AwaitCollect(ctx.signal)
             heard.append((w.sched.clock - 1, values))
@@ -424,7 +424,7 @@ def polling_detections(world):
                 for y in range(d.y0, d.y1 + 1):
                     for x in range(d.x0, d.x1 + 1):
                         c = world.grid.cell(x, y)
-                        ctx = world.visible.get(c)
+                        ctx = c.ctx if c in world.visible else None
                         if ctx is None or ctx.direction != d.kind or ctx.serial in seen[index]:
                             continue
                         seen[index].add(ctx.serial)

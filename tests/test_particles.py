@@ -5,7 +5,7 @@ from math import floor
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from syncell import COOPERATE, DOWN, UP, World
+from syncell import COOPERATE, DOWN, UP, Await, Event, World
 from syncell.particles import RealParticle, step_particles
 from syncell.scenario import (
     ScenarioSpec,
@@ -261,12 +261,12 @@ def test_stepper_moves_each_particle_from_the_instant_after_its_birth():
     sched = w.sched
     p1, p2, p3 = (RealParticle(x + 0.5, 5.5, 0.0, 1.0, 0) for x in (5, 10, 15))
 
-    def born_late():  # spawned after the stepper, so it runs after it
+    def born_late():  # spawned after the stepper
         while sched.clock < 3:
             yield COOPERATE
         w.add_particle(p3)
 
-    def born_early():  # spawned before the stepper, so it runs before it
+    def born_early():  # spawned before the stepper
         w.add_particle(p1)
         sched.spawn(born_late())
         while sched.clock < 3:
@@ -278,6 +278,31 @@ def test_stepper_moves_each_particle_from_the_instant_after_its_birth():
         sched.run_instant()
     # after instant 5: p1 moved in instants 1..5, p2 and p3 in 4..5
     assert [p.fy for p in (p1, p2, p3)] == [10.5, 7.5, 7.5]
+
+
+def test_every_behavior_reads_a_particle_after_the_instants_step():
+    # the stepper heads every instant, so a behavior spawned before it, and
+    # woken by the birth, reads the birth position in the birth instant and
+    # then one step more in each instant after it
+    w = World(20, 20)
+    born = Event()
+    seen = []
+
+    def watcher():
+        yield Await(born)
+        for _ in range(4):
+            seen.append(w.particles[0].fy)
+            yield COOPERATE
+
+    def birth():
+        w.add_particle(RealParticle(4.5, 5.5, 0.0, 1.0, 0))
+        w.sched.generate(born)
+        yield COOPERATE
+
+    w.sched.spawn(watcher())
+    w.sched.spawn(birth())
+    w.run(4)
+    assert seen == [5.5, 6.5, 7.5, 8.5]
 
 
 def test_particle_added_between_instants_moves_in_the_next_instant():

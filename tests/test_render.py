@@ -80,8 +80,8 @@ def test_every_visible_cell_appears_with_its_state_color():
     for _ in range(20):
         w.sched.run_instant()
         fb.paint(w)
-        for c in w.visible:
-            assert fb.buf[c.y * 25 + c.x] == STATE0 + c.basic_state
+        for c, s in w.visible.items():
+            assert fb.buf[c.y * 25 + c.x] == STATE0 + s
 
 
 def test_particles_are_painted_with_their_state_color():

@@ -178,7 +178,7 @@ def test_empty_world_has_dead_interior_and_brick_border():
     assert w.grid.walls.count(1) == 20 * 20 - 18 * 18
     assert len(interior) == 18 * 18
     assert w.visible == {}
-    assert all(c.basic_state == 0 and not c.values for c in interior)
+    assert all(not c.values for c in interior)
     # a cell's behavior starts at its first trigger: none has one yet
     assert all(c.ctx is None for c in interior)
     assert w.sched.alive == 0
@@ -672,7 +672,7 @@ def test_emitter_fires_its_first_shot_in_instant_0(monkeypatch):
     assert fires == [0]
     w.sched.run_instant()
     # visible after instant 1, so it woke and collected in instant 0
-    assert fired_cell.ctx is not None and w.visible[fired_cell] is fired_cell.ctx
+    assert fired_cell.ctx is not None and fired_cell in w.visible
 
 
 def test_emitter_counts_and_spacing(monkeypatch):
@@ -735,8 +735,8 @@ def test_successive_shots_are_independent_superpositions():
 
     def watcher():
         while True:
-            for ctx in w.visible.values():
-                contexts.add(ctx.serial)
+            for c in w.visible:
+                contexts.add(c.ctx.serial)
             yield COOPERATE
 
     w.sched.spawn(watcher())

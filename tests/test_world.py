@@ -45,8 +45,8 @@ def test_a_grid_forces_its_border_ring_and_checks_its_wall_mask():
 
 def prepared_cell(w, x, y, direction=UP, state=0):
     c = w.grid.cell(x, y)
-    c.basic_state = state
     c.ctx = w.new_context(direction)
+    w.visible[c] = state
     return c
 
 
@@ -170,11 +170,10 @@ def test_brick_caller_cannot_transmit():
 # -- combine / reset -------------------------------------------------------------
 
 
-def settle(w, x, y, activations, state=0):
+def settle(w, x, y, activations):
     """Run one lone cell's cycle through its combine step: the activations
     are all generated on its trigger in instant 0."""
     c = w.grid.cell(x, y)
-    c.basic_state = state
     w.sched.spawn(cell_behavior(w, c))
 
     def trigger():
@@ -187,17 +186,17 @@ def settle(w, x, y, activations, state=0):
     return c
 
 
-def settled_state(states, state=0, base=6):
+def settled_state(states, base=6):
     w = World(5, 5, base=base)
     ctx = w.new_context(UP)
-    return settle(w, 2, 2, [(s, ctx) for s in states], state).basic_state
+    return w.visible[settle(w, 2, 2, [(s, ctx) for s in states])]
 
 
 def test_combine_adds_states_modulo_base():
-    # the cell settles on (its state + 1 + the activations' states) mod base
-    assert settled_state([5], state=4) == 4
-    assert settled_state([0], state=4) == 5
-    assert settled_state([1], state=4) == 0
+    # the cell settles on (1 + the activations' states) mod base
+    assert settled_state([5]) == 0
+    assert settled_state([4]) == 5
+    assert settled_state([3, 4]) == 2
     assert settled_state([2, 2], base=3) == 2
 
 
@@ -205,16 +204,16 @@ def test_combine_adds_states_and_rebinds_context():
     w = World(9, 9)
     ctx1, ctx2, ctx3 = (w.new_context(UP) for _ in range(3))
     c = settle(w, 4, 4, [(2, ctx1), (3, ctx2), (4, ctx3)])
-    assert c.basic_state == (2 + 3 + 4 + 1) % 6
+    assert w.visible[c] == (2 + 3 + 4 + 1) % 6
     assert c.ctx.direction == UP
-    assert c.ctx is ctx3 and w.visible[c] is ctx3  # last writer owns the cell
+    assert c.ctx is ctx3  # last writer owns the cell
     assert w.ctx_collisions == 1
 
 
 def test_single_activation_onto_fresh_cell_copies_state():
     w = World(9, 9)
     c = settle(w, 4, 4, [(4, w.new_context(DOWN))])
-    assert c.basic_state == 4 + 1 and c.ctx.direction == DOWN
+    assert w.visible[c] == 4 + 1 and c.ctx.direction == DOWN
 
 
 def test_a_visible_cell_yields_its_contexts_one_collect():
@@ -235,19 +234,19 @@ def test_cell_behavior_frame_holds_at_most_seven_locals():
 def lone_cycle(w, c, feeder, feeder_first=False):
     """Start ``c``'s behavior and ``feeder`` (by default after it, so it runs
     after the cell in every instant), then run instants; after each, note the
-    cell's state and whether it is visible."""
+    cell's state and context while it is visible, else ``(None, None)``."""
     gens = [cell_behavior(w, c), feeder()]
     for gen in gens[::-1] if feeder_first else gens:
         w.sched.spawn(gen)
     seen = []
     for _ in range(REDUCE_WINDOW + 3):
         w.sched.run_instant()
-        seen.append((c.basic_state, w.visible.get(c)))
+        seen.append((w.visible.get(c), c.ctx if c in w.visible else None))
     return seen
 
 
 @pytest.mark.parametrize("measured", [False, True], ids=["transmit", "reduce"])
-def test_a_cycle_ends_with_state_0_and_the_cell_out_of_visible(measured):
+def test_a_cycle_ends_with_the_cell_out_of_visible(measured):
     w = World(9, 9)
     c = w.grid.cell(4, 4)
     ctx = w.new_context(UP)
@@ -262,7 +261,7 @@ def test_a_cycle_ends_with_state_0_and_the_cell_out_of_visible(measured):
     # combined in instant 1; the cycle ends in instant 2 when it transmits,
     # in the instant it launches its particle when it reduces
     end = 1 + REDUCE_WINDOW if measured else 2
-    assert seen == [(0, None)] + [(3, ctx)] * (end - 1) + [(0, None)] * (len(seen) - end)
+    assert seen == [(None, None)] + [(3, ctx)] * (end - 1) + [(None, None)] * (len(seen) - end)
     assert len(w.particles) == measured
     assert len(c.waiters) == 1  # parked on its trigger again
 
@@ -280,7 +279,7 @@ def test_a_cell_triggered_in_the_instant_it_resets_collects_it_in_the_next(feede
         w.sched.generate(c, (1, again))  # instant 2: the cell transmits and resets
 
     seen = lone_cycle(w, c, feeder, feeder_first)
-    assert seen[:5] == [(0, None), (3, ctx), (0, None), (2, again), (0, None)]
+    assert seen[:5] == [(None, None), (3, ctx), (None, None), (2, again), (None, None)]
 
 
 def test_an_event_at_rest_holds_no_list():
@@ -317,10 +316,11 @@ def test_an_event_at_rest_holds_no_list():
     assert (w.grid.cell(2, 2).values, w.grid.cell(2, 2).waiters) == ((), ())
 
 
-def test_an_open_cell_is_80_bytes():
-    # the GC header, the object header, and six slots: Event's values and
-    # waiters, then x, y, basic_state and ctx (the direction is on ctx)
-    assert sys.getsizeof(World(5, 5).grid.cell(2, 2)) == 80
+def test_an_open_cell_is_72_bytes():
+    # the GC header, the object header, and five slots: Event's values and
+    # waiters, then x, y and ctx (the direction is on ctx, the state in
+    # World.visible)
+    assert sys.getsizeof(World(5, 5).grid.cell(2, 2)) == 72
 
 
 def test_linear_is_injective_row_major():
@@ -350,12 +350,11 @@ def test_dead_cell_triggered_cycle_timing():
     w.sched.spawn(trigger_spy())
     run_to(w, 1)  # instant 0 done: cell triggered, nothing settled yet
     assert triggered == {0: True}
-    assert target not in w.visible and target.basic_state == 0
+    assert target not in w.visible
 
     run_to(w, 2)  # instant 1 done: combined 3, incremented
     assert triggered == {0: True, 1: False}
-    assert target.ctx is not None and w.visible[target] is target.ctx
-    assert target.basic_state == 4
+    assert target.ctx is not None and w.visible[target] == 4
 
     got = {}
 
@@ -366,7 +365,7 @@ def test_dead_cell_triggered_cycle_timing():
     w.sched.spawn(spy())
     run_to(w, 3)  # instant 2: retransmission reaches the row above
     assert got["above"] == (2, True)
-    assert target not in w.visible and target.basic_state == 0  # reset closed the cycle
+    assert target not in w.visible  # reset closed the cycle
 
 
 def test_lone_fired_cell_transmit_cycle_takes_two_micro_steps():
