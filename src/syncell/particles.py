@@ -1,12 +1,18 @@
 """Real particles: the animated entities born from a collapse.
 
 One ``particle_stepper`` behavior moves every particle of a world, once per
-instant from the instant after its birth, in one ``step_particles`` call at
-the head of the instant. A particle's step works one velocity component at a
-time, x then y: it moves by the component (inertia) or, where that would land
-in a wall cell, flips it (bouncing). Positions are continuous, in cell units,
-and particles spawn at the centre of their birth cell so a component never
-lands exactly on a cell boundary.
+instant from the instant after its birth, at the head of the instant. A
+particle's step works one velocity component at a time, x then y: it moves by
+the component (inertia) or, where that would land in a wall cell, flips it
+(bouncing). Positions are continuous, in cell units, and particles spawn at
+the centre of their birth cell so a component never lands exactly on a cell
+boundary.
+
+The stepper sorts each particle once, at its first step. A vertical one
+(``vx`` zero, ``vy`` not, in an open cell) never leaves its column's open run
+of rows, so it is stepped against that run's two ends; every other particle
+goes through ``step_particles``, the general step. Both give the same bytes
+(see ``particle_stepper``).
 """
 
 from __future__ import annotations
@@ -65,14 +71,64 @@ def step_particles(particles, walls: bytes, width: int, height: int) -> None:
                 p.fy = fy
 
 
+def column_run(walls: bytes, width: int, x: int, y: int) -> tuple[int, int]:
+    """Rows ``[lo, hi)`` of the open run of column ``x`` that holds the open
+    cell ``(x, y)`` of the wall mask ``walls`` (``Grid.walls``): rows ``lo - 1``
+    and ``hi`` are wall, as the border ring bounds every column."""
+    column = walls[x::width]
+    return column.rfind(1, 0, y) + 1, column.find(1, y)
+
+
 def particle_stepper(world, spawned_in_an_instant: bool):
     """Step all of ``world.particles`` at the head of every instant, before any
-    birth in it; spawned inside an instant, first wait for the next."""
+    birth in it; spawned inside an instant, first wait for the next.
+
+    Each particle is sorted once, at its first step (only the stepper writes
+    a registered particle's position or velocity). A vertical one (``vx``
+    zero, ``vy`` not) in an open cell is kept as ``(p, lo, hi)``, its column's
+    open run from ``column_run``, and moves to ``fy = p.fy + vy`` if
+    ``lo <= fy < hi``, else flips ``vy``. Every other particle goes through
+    ``step_particles``. The two agree exactly: ``|vy| <= 1``, so ``fy`` lands
+    within one row of the particle's own, where ``[lo, hi)`` holds exactly
+    the open rows (beyond both ends is wall), and an int compares exactly
+    with a float; a zero ``vx`` flips only to ``-0.0``, still zero. The one
+    exception is rounding: ``fy`` just below a power of two plus a ``vy`` of
+    1.0 rounds up to the integer ``hi + 1``, two rows on, and there the
+    general step moves past the one-row wall ``hi`` if ``hi + 1`` is open;
+    so does this one, and the particle then goes to ``step_particles``.
+    """
     grid = world.grid
     walls, width, height = grid.walls, grid.width, grid.height
     particles = world.particles
+    runs: list = []  # (p, lo, hi): a vertical p moves only in rows [lo, hi)
+    others: list = []  # every other particle, for step_particles
+    strays: list = []  # vertical particles rounded past the end of their run
+    seen = 0  # particles[:seen] are sorted into runs or others
     if spawned_in_an_instant:
         yield COOPERATE
     while True:
-        step_particles(particles, walls, width, height)
+        if seen < len(particles):
+            for p in particles[seen:]:
+                if not p.vx and p.vy:
+                    x, y = floor(p.fx), floor(p.fy)
+                    if 0 <= x < width and 0 <= y < height and not walls[y * width + x]:
+                        runs.append((p, *column_run(walls, width, x, y)))
+                        continue
+                others.append(p)
+            seen = len(particles)
+        step_particles(others, walls, width, height)
+        for p, lo, hi in runs:
+            vy = p.vy
+            fy = p.fy + vy
+            if lo <= fy < hi:
+                p.fy = fy
+            elif fy == hi + 1 < height and not walls[(hi + 1) * width + floor(p.fx)]:
+                p.fy = fy
+                strays.append(p)
+            else:
+                p.vy = -vy
+        if strays:
+            runs = [r for r in runs if r[0] not in strays]
+            others += strays
+            strays.clear()
         yield COOPERATE

@@ -9,6 +9,8 @@ trace picture of an emission.
 
 from __future__ import annotations
 
+from math import floor
+
 from .world import World
 
 # palette indices
@@ -72,7 +74,7 @@ class FrameBuffer:
         for c, s in world.visible.items():
             buf[c.y * width + c.x] = STATE0 + s
         for p in world.particles:
-            x, y = int(p.fx), int(p.fy)
+            x, y = floor(p.fx), floor(p.fy)  # the stepper's cell, off-grid on (-1, 0)
             if 0 <= x < width and 0 <= y < self.height:
                 buf[y * width + x] = STATE0 + p.state
         return self
@@ -91,6 +93,8 @@ class FrameBuffer:
         return header + body
 
     def to_ascii(self) -> str:
-        text = self._checked_buf().translate(_ASCII_TABLE).decode("ascii")
+        text = self.buf.translate(_ASCII_TABLE).decode("ascii")
+        if "?" in text:  # _ASCII_TABLE's "?" is exactly the indices past the palette
+            raise IndexError("frame buffer holds an index outside the palette")
         width = self.width
         return "\n".join(text[y * width : (y + 1) * width] for y in range(self.height)) + "\n"

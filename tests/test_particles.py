@@ -1,11 +1,12 @@
 """Inertia, bouncing, containment, and the particle stepper."""
 
-from math import floor
+from math import floor, nextafter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from syncell import COOPERATE, DOWN, UP, Await, Event, World
+from syncell import particles
 from syncell.particles import RealParticle, step_particles
 from syncell.scenario import (
     ScenarioSpec,
@@ -191,6 +192,120 @@ def test_step_particles_equals_the_reference_step(data):
         return (p.fx, p.fy, p.vx, p.vy)
 
     assert [state(p) for p in stepped] == [state(p) for p in reference]
+
+
+_NON_DYADIC = st.floats(-1.0, 1.0).filter(lambda v: v * 2**20 % 1)  # no multiple of 2**-20
+_VERTICAL = st.one_of(st.sampled_from([1.0, -1.0, 0.3, -0.7]), _NON_DYADIC)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_world_stepper_equals_the_reference_step(data):
+    width, height = data.draw(st.integers(3, 12)), data.draw(st.integers(5, 14))
+    bricks = st.tuples(st.integers(1, width - 2), st.integers(1, height - 2))
+    mask = bytearray(width * height)
+    for x, y in data.draw(st.lists(bricks, max_size=width * height // 4)):
+        mask[y * width + x] = 1
+    # a one-cell run: (px, py) open between walls above and below
+    px, py = data.draw(st.integers(1, width - 2)), data.draw(st.integers(2, height - 3))
+    mask[(py - 1) * width + px] = mask[(py + 1) * width + px] = 1
+    mask[py * width + px] = 0
+    w = World(width, height, walls=mask)
+    walls = w.grid.walls
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    open_cells = [(x, y) for x, y in cells if not walls[y * width + x]]
+    wall_cells = [(x, y) for x, y in cells if walls[y * width + x]]
+
+    def at(x, y):
+        return x + data.draw(_UNIT), y + data.draw(_UNIT)
+
+    def somewhere(cells):
+        return at(*data.draw(st.sampled_from(cells)))
+
+    starts = [
+        (*somewhere(open_cells), 0.0, data.draw(st.sampled_from([1.0, -1.0]))),
+        (*somewhere(open_cells), 0.0, data.draw(_NON_DYADIC)),
+        (*at(px, py), 0.0, data.draw(_VERTICAL)),  # in the one-cell run
+        (*somewhere(open_cells), data.draw(_SPEED.filter(bool)), data.draw(_SPEED)),
+        (*somewhere(open_cells), 0.0, 0.0),  # still
+        (*somewhere(wall_cells), 0.0, data.draw(_VERTICAL)),  # in a wall or the border
+    ]
+    for _ in range(data.draw(st.integers(0, 4))):
+        starts.append((*somewhere(cells), data.draw(_COMPONENT), data.draw(_COMPONENT)))
+    steps = data.draw(st.integers(1, 30))
+    # each particle is born before an instant (False) or inside it (True)
+    births = [(data.draw(st.integers(0, steps - 1)), data.draw(st.booleans())) for _ in starts]
+
+    stepped = [RealParticle(*start, 0) for start in starts]
+    reference = [RealParticle(*start, 0) for start in starts]
+
+    def born_inside():
+        while True:
+            for p, (instant, inside) in zip(stepped, births):
+                if inside and instant == w.sched.clock:
+                    w.add_particle(p)
+            yield COOPERATE
+
+    w.sched.spawn(born_inside())
+
+    def state(p):
+        return (p.fx, p.fy, p.vx, p.vy)
+
+    for instant in range(steps):
+        for p, birth in zip(stepped, births):
+            if birth == (instant, False):
+                w.add_particle(p)
+        w.sched.run_instant()
+        for p, (born, inside) in zip(reference, births):
+            if born + inside <= instant:  # moves from the instant after its birth
+                reference_step(p, walls, width, height)
+        assert [state(p) for p in stepped] == [state(p) for p in reference]
+
+
+def test_the_stepper_scans_a_column_once_per_vertical_particle(monkeypatch):
+    column_run = particles.column_run
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return column_run(*args)
+
+    monkeypatch.setattr(particles, "column_run", counted)
+    w = World(20, 20)
+    walls = w.grid.walls
+    starts = [
+        (3.5, 3.5, 0.0, 1.0, 0),
+        (5.5, 3.5, 1.0, 1.0, 0),  # diagonal
+        (7.5, 3.5, 0.0, 0.0, 0),  # still
+        (9.5, 12.5, 0.0, -0.5, 0),  # born after 10 instants
+    ]
+    for start in starts[:3]:
+        w.add_particle(RealParticle(*start))
+    w.run(10)
+    w.add_particle(RealParticle(*starts[3]))
+    w.run(30)
+    assert scans == [(walls, 20, 3, 3), (walls, 20, 9, 12)]
+    reference = [RealParticle(*start) for start in starts]
+    for i, p in enumerate(reference):
+        for _ in range(30 if i == 3 else 40):
+            reference_step(p, walls, 20, 20)
+    assert [(p.fx, p.fy) for p in w.particles] == [(p.fx, p.fy) for p in reference]
+
+
+def test_a_vertical_particle_rounded_past_a_wall_row_moves_as_the_general_step():
+    # 4 - 2**-51 + 1.0 rounds to 5.0: the general step lands two rows on,
+    # past the one-row wall at row 4, and the stepper follows it there
+    mask = bytearray(9 * 12)
+    mask[4 * 9 + 4] = 1
+    w = World(9, 12, walls=mask)
+    start = (4.5, nextafter(4.0, 0.0), 0.0, 1.0, 0)
+    p, q = RealParticle(*start), RealParticle(*start)
+    w.add_particle(p)
+    for _ in range(20):
+        w.sched.run_instant()
+        reference_step(q, w.grid.walls, 9, 12)
+        assert (p.fy, p.vy) == (q.fy, q.vy)
+        assert p.fy >= 5.0  # bouncing in rows 5..10 from the first step on
 
 
 def test_trajectory_is_deterministic():

@@ -124,3 +124,24 @@ def test_encoders_reject_an_index_past_the_palette():
     fb = FrameBuffer(9, 9).paint(w)
     with pytest.raises(IndexError):
         fb.to_ppm_bytes()
+
+
+def test_ascii_rejects_exactly_the_indices_past_the_palette():
+    fb = FrameBuffer(3, 3)
+    for index in range(256):
+        fb.buf[4] = index
+        if index < len(PALETTE):
+            assert fb.to_ascii().splitlines()[1][1] == ASCII_CHARS[index]
+        else:
+            with pytest.raises(IndexError):
+                fb.to_ascii()
+
+
+@pytest.mark.parametrize("fx,fy", [(-0.5, 4.5), (4.5, -0.5)])
+def test_an_off_grid_particle_paints_nothing(fx, fy):
+    # the stepper's math.floor puts (-1, 0) off the grid; int() would paint
+    # the particle on the border ring
+    w = World(9, 9)
+    bare = bytes(FrameBuffer(9, 9).paint(w).buf)
+    w.particles.append(RealParticle(fx, fy, 0.0, 0.0, 3))
+    assert bytes(FrameBuffer(9, 9).paint(w).buf) == bare
