@@ -30,7 +30,9 @@ id from ``Scheduler.reserve`` that no live behavior holds, not a fresh one).
 
 Dispatch is deterministic: behaviors that become runnable together are
 ordered by their spawn id, so two runs of the same program produce identical
-event traces. An instant runs one list of ``(bid, gen, value)`` entries:
+event traces. Each behavior has one kernel record for its whole life: its
+spawn id, its generator and the value it resumes with. Every suspension
+queues that same record again, so an instant runs one list of records:
 first the start list, the resumptions due at its start and the behaviors
 spawned between instants, sorted by the unique spawn id; then, in the order
 they happen, the awaiters woken and the behaviors spawned during the instant.
@@ -39,6 +41,7 @@ they happen, the awaiters woken and the behaviors spawned during the instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Generator, Optional
 
 Behavior = Generator  # a behavior is any generator yielding kernel commands
@@ -73,18 +76,45 @@ class Event:
     is one, a ``world.Cell``.
 
     At rest both fields are the shared empty tuple: ``values`` is a list only
-    while the running instant has generated on the event, ``waiters`` only
-    while behaviors are parked on it. Test them by truth, not by type."""
+    while the running instant has generated on the event. ``waiters`` is the
+    parked behavior's kernel record while one behavior waits on the event,
+    and a list of records once a second one parks. Test them by truth, not by
+    type."""
 
     __slots__ = ("values", "waiters")
 
     def __init__(self):
         self.values: list | tuple = ()
-        # parked behaviors: (bid, gen, None) awaits, (bid, gen, self) collects
-        self.waiters: list[tuple] | tuple = ()
+        # parked records: value None awaits, value self collects
+        self.waiters: _Entry | list[_Entry] | tuple = ()
 
     def __repr__(self):
         return f"Event(present={bool(self.values)}, values={self.values!r})"
+
+
+class _Entry:
+    """A behavior's one kernel record for its whole life: its spawn id, its
+    generator and the value it resumes with. While it waits, ``value`` is the
+    event it collects, whose values the end of the instant swaps in, or None."""
+
+    __slots__ = ("bid", "gen", "value")
+
+    def __init__(self, bid: int, gen: Behavior):
+        self.bid = bid
+        self.gen = gen
+        self.value: Any = None
+
+
+_by_bid = attrgetter("bid")
+
+
+def _park(event: Event, entry: _Entry) -> None:
+    """Park a second or later waiter: a lone parked record becomes a list."""
+    waiters = event.waiters
+    if waiters.__class__ is list:
+        waiters.append(entry)
+    else:
+        event.waiters = [waiters, entry]
 
 
 class Await:
@@ -143,10 +173,10 @@ class Scheduler:
         self.microstep_budget = microstep_budget
         self.clock = 0
         self.active = False  # in the active phase of an instant
-        # (bid, gen, value) entries to run in this instant, and the start list
-        self._run: list[tuple[int, Behavior, Any]] = []
-        self._resume: list[tuple[int, Behavior, Any]] = []
-        self._collectors: list[tuple[int, Behavior, Event]] = []  # resume with values
+        # the records to run in this instant, and the start list
+        self._run: list[_Entry] = []
+        self._resume: list[_Entry] = []
+        self._collectors: list[_Entry] = []  # value is the event, swapped for its values
         self._touched: list[Event] = []
         # one byte per spawn id given out: 0 fresh, 1 reserved and free, 2 held
         self._ids = bytearray()
@@ -170,7 +200,7 @@ class Scheduler:
             ids[bid] = 2
         else:
             raise KernelError(f"spawn id {bid} is not a reserved id free for use")
-        (self._run if self.active else self._resume).append((bid, gen, None))
+        (self._run if self.active else self._resume).append(_Entry(bid, gen))
         self.alive += 1
         return bid
 
@@ -180,8 +210,8 @@ class Scheduler:
         Only legal during the active phase: generation at the end of an
         instant, or between instants, would make "all values of the instant"
         ill-defined and is rejected. The first value of the instant gives the
-        event a fresh values list; waking its waiters hands their list to the
-        run and leaves the event with none.
+        event a fresh values list; waking its waiters hands their records to
+        the run, or to the collectors, and leaves the event with none.
         """
         if not self.active:
             raise PhaseError(
@@ -196,10 +226,12 @@ class Scheduler:
         waiters = event.waiters
         if waiters:
             event.waiters = ()
-            if len(waiters) > 1:
-                waiters.sort()  # by spawn id, which is unique
-            for entry in waiters:
-                (self._run if entry[2] is None else self._collectors).append(entry)
+            if waiters.__class__ is list:
+                waiters.sort(key=_by_bid)  # spawn ids are unique
+                for entry in waiters:
+                    (self._run if entry.value is None else self._collectors).append(entry)
+            else:  # a lone parked record
+                (self._run if waiters.value is None else self._collectors).append(waiters)
 
     def run_instant(self) -> InstantReport:
         """Execute one full instant (active phase, then end-of-instant)."""
@@ -207,7 +239,7 @@ class Scheduler:
         self.active = True
 
         run = self._resume
-        run.sort()
+        run.sort(key=_by_bid)
         self._run = run
         self._resume = resume = []
         collectors = self._collectors
@@ -215,7 +247,9 @@ class Scheduler:
         steps = 0
         budget = self.microstep_budget
         # generate appends woken awaiters to run while it is iterated
-        for bid, gen, value in run:
+        for entry in run:
+            gen = entry.gen
+            value = entry.value
             while True:
                 steps += 1
                 if steps > budget:
@@ -224,47 +258,52 @@ class Scheduler:
                     cmd = gen.send(value)
                 except StopIteration:
                     self.alive -= 1
-                    if self._ids[bid]:  # a reserved id is free again
-                        self._ids[bid] = 1
+                    if self._ids[entry.bid]:  # a reserved id is free again
+                        self._ids[entry.bid] = 1
                     break
                 if cmd is COOPERATE:
-                    resume.append((bid, gen, None))
+                    entry.value = None
+                    resume.append(entry)
                     break
                 cls = cmd.__class__
                 if cls is AwaitCollect:
-                    event = cmd.event
+                    entry.value = event = cmd.event
                     if event.values:
-                        collectors.append((bid, gen, event))
+                        collectors.append(entry)
                     elif event.waiters:
-                        event.waiters.append((bid, gen, event))
+                        _park(event, entry)
                     else:
-                        event.waiters = [(bid, gen, event)]
+                        event.waiters = entry
                     break
                 if cls is Collect:
-                    collectors.append((bid, gen, cmd.event))
+                    entry.value = cmd.event
+                    collectors.append(entry)
                     break
                 if cls is Await:
                     event = cmd.event
                     if event.values:
                         value = None
                         continue
+                    entry.value = None
                     if event.waiters:
-                        event.waiters.append((bid, gen, None))
+                        _park(event, entry)
                     else:
-                        event.waiters = [(bid, gen, None)]
+                        event.waiters = entry
                     break
                 raise KernelError(f"behavior yielded a non-command: {cmd!r}")
 
         # End of instant: every collector of an event gets one shared tuple of
-        # its values (() if absent), then each touched event is put at rest.
+        # its values (() if absent) in place of the event, and joins the start
+        # list; then each touched event is put at rest.
         self.active = False
         self._run = []
         generated = 0
         for event in self._touched:
             event.values = values = tuple(event.values)
             generated += len(values)
-        for bid, gen, event in collectors:
-            resume.append((bid, gen, event.values))
+        for entry in collectors:
+            entry.value = entry.value.values
+        resume += collectors
         collectors.clear()
         for event in self._touched:
             event.values = ()

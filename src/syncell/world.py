@@ -89,8 +89,8 @@ class Cell(Event):
     cycle, and None until an activation first reaches the cell. The cell runs
     a behavior iff its ``ctx`` is not None.
 
-    As an event it holds no list at rest: a cell never triggered holds none,
-    and a parked cell only the one-entry waiter list made when it parks.
+    As an event it holds no list at rest: a cell never triggered holds
+    nothing, and a parked cell only its behavior's kernel record.
     """
 
     __slots__ = ("x", "y", "ctx")

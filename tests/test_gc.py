@@ -214,11 +214,11 @@ def test_a_parked_cell_keeps_nothing_of_its_last_cycle(text, instants, collapses
         assert held == [], f"parked cell ({c.x},{c.y}) holds {held}"
 
 
-def test_a_started_cell_adds_four_tracked_objects_and_a_frame_before_3_11():
-    # its generator, the AwaitCollect it parks on, its waiter entry on its own
-    # trigger and the one-entry waiter list made when it parks (a cell never
-    # triggered holds no list); before 3.11 the generator's frame is one more
-    per_cell = 4 if sys.version_info >= (3, 11) else 5
+def test_a_started_cell_adds_three_tracked_objects_and_a_frame_before_3_11():
+    # its generator, the AwaitCollect it parks on and its one kernel record,
+    # parked on its own trigger with no list around it (a cell never
+    # triggered holds nothing); before 3.11 the generator's frame is one more
+    per_cell = 3 if sys.version_info >= (3, 11) else 4
     world = build_world(parse_scenario(FREE_SPACE))
     gc.collect()
     before = len(gc.get_objects())

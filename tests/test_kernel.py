@@ -238,6 +238,81 @@ def test_woken_behavior_runs_after_every_admitted_behavior():
     assert order == ["waker", "resumed", "spawned", "sleeper"]
 
 
+def test_a_behavior_parks_the_same_kernel_record_at_every_suspension():
+    s = Scheduler()
+    e, f = Event(), Event()
+    log, parked = [], []
+
+    def behavior():  # bid 0
+        yield COOPERATE  # instant 0
+        log.append((yield Collect(f)))  # instant 1, resumes in 2
+        log.append((yield AwaitCollect(e)))  # parks in 2, generated in 3, resumes in 4
+        yield Await(e)  # parks in 4, resumes in 5
+        log.append(s.clock)
+
+    def driver():  # bid 1: runs after the behavior in every instant
+        yield COOPERATE
+        s.generate(f, "x")  # instant 1
+        yield COOPERATE
+        parked.append(e.waiters)  # instant 2: the AwaitCollect parked
+        yield COOPERATE
+        s.generate(e, 1)  # instant 3
+        yield COOPERATE
+        parked.append(e.waiters)  # instant 4: the Await parked
+        yield COOPERATE
+        s.generate(e, 2)  # instant 5
+
+    s.spawn(behavior())
+    s.spawn(driver())
+    drive(s, 6)
+    assert log == [("x",), (1,), 5]
+    first, second = parked
+    assert first and not isinstance(first, list)  # a lone waiter is held without a list
+    assert second is first
+    assert e.waiters == ()
+
+
+def test_a_lone_waiter_becomes_a_list_when_others_park_and_all_wake_in_id_order():
+    s = Scheduler()
+    e = Event()
+    low, mid, high = s.reserve(3)
+    log, shapes = [], []
+
+    def awaiter(bid, delay):
+        for _ in range(delay):
+            yield COOPERATE
+        yield Await(e)
+        log.append(("await", bid, s.clock))
+
+    def collector(bid, delay):
+        for _ in range(delay):
+            yield COOPERATE
+        values = yield AwaitCollect(e)
+        log.append(("collect", bid, s.clock, values))
+
+    def producer():  # bid 3: runs last in every instant
+        shapes.append(e.waiters)  # instant 0: the first waiter parked alone
+        yield COOPERATE
+        shapes.append(list(e.waiters))  # instant 1: two lower ids parked after it
+        yield COOPERATE
+        s.generate(e, "v")  # instant 2
+        shapes.append(e.waiters)
+
+    s.spawn(awaiter(high, 0), high)
+    s.spawn(awaiter(low, 1), low)
+    s.spawn(collector(mid, 1), mid)
+    s.spawn(producer())
+    drive(s, 4)
+    lone, grown, woken = shapes
+    assert lone and not isinstance(lone, list)
+    assert grown[0] is lone and len(grown) == 3
+    assert woken == ()
+    # the two awaiters wake in spawn-id order, not park order, in the
+    # instant of the generate; the collector resumes in the next
+    assert log == [("await", low, 2), ("await", high, 2), ("collect", mid, 3, ("v",))]
+    assert e.waiters == ()
+
+
 def test_collect_absent_event_yields_empty_list():
     s = Scheduler()
     e = Event()

@@ -263,7 +263,8 @@ def test_a_cycle_ends_with_the_cell_out_of_visible(measured):
     end = 1 + REDUCE_WINDOW if measured else 2
     assert seen == [(None, None)] + [(3, ctx)] * (end - 1) + [(None, None)] * (len(seen) - end)
     assert len(w.particles) == measured
-    assert len(c.waiters) == 1  # parked on its trigger again
+    # parked on its trigger again, as its one kernel record and no list
+    assert not isinstance(c.waiters, list) and c.waiters.value is c
 
 
 @pytest.mark.parametrize("feeder_first", [True, False], ids=["before", "after"])
@@ -311,8 +312,10 @@ def test_an_event_at_rest_holds_no_list():
     run_to(w, 3)
     assert got == [("await", 1), ("AwaitCollect", ("v",)), ("Collect", ("v",))]
     assert (e.values, e.waiters) == ((), ())
-    # the fired cell parks on a one-entry list; one never reached holds none
-    assert len(w.grid.cell(7, 12).waiters) == 1
+    # the fired cell parks as its one kernel record, no list; one never
+    # reached holds nothing
+    fired = w.grid.cell(7, 12)
+    assert not isinstance(fired.waiters, list) and fired.waiters.value is fired
     assert (w.grid.cell(2, 2).values, w.grid.cell(2, 2).waiters) == ((), ())
 
 

@@ -20,7 +20,16 @@ one after the other. For each order it prints B's summed time over A's and
 the median of the per-instant ratios; above 1 means B is slower. It also
 counts the instants whose work counters (alive, generated, micro-steps)
 differ between the sides. The summed ratio, which a few slow instants
-dominate, read 1.03 to 1.05 in the same A/A runs: judge by the medians.
+dominate, read 1.03 to 1.05 in the same A/A runs, so the medians resolve
+smaller differences.
+
+Each ratio follows one perfbench metric: the summed ratio follows
+``instants_per_s`` (instants over total time), and the per-instant median
+follows ``instant_ms.p50``. The two part when a change speeds the long
+instants more than the typical one: on ``wavefront``, a kernel change that
+stopped allocating at every suspension read a summed ratio of about 0.77
+and a median of about 0.82 to 0.84. Judge a claim by the ratio that follows
+the claimed metric.
 
 Only ``run_instant`` is timed: the set-up and the ``frames`` workload's
 rendering and frame writing are not covered.
