@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from .kernel import COOPERATE, Await, Collect
 from .particles import RealParticle
 from .stats import DetectionRecord, ReductionRecord
-from .world import Cell, World
+
+if TYPE_CHECKING:
+    from .world import Cell, World
 
 # instants from the measurement broadcast to the member cells' reset
 REDUCE_WINDOW = 5

@@ -8,11 +8,9 @@ the component (inertia) or, where that would land in a wall cell, flips it
 the centre of their birth cell so a component never lands exactly on a cell
 boundary.
 
-The stepper sorts each particle once, at its first step. A vertical one
-(``vx`` zero, ``vy`` not, in an open cell) never leaves its column's open run
-of rows, so it is stepped against that run's two ends; every other particle
-goes through ``step_particles``, the general step. Both give the same bytes
-(see ``particle_stepper``).
+The stepper gives each particle one of two step paths for life, the general
+``step_particles`` or a column-run comparison; ``particle_stepper`` states
+which particle takes which and why both give the same bytes.
 """
 
 from __future__ import annotations
@@ -48,10 +46,14 @@ def step_particles(particles, walls: bytes, width: int, height: int) -> None:
     component that would land on a wall (``walls``, the grid's wall mask
     ``Grid.walls``, or off-grid) is flipped and its coordinate kept, so a
     legal position stays legal and speed is conserved; a corner hit flips
-    both. A zero component is neither moved nor stored. A step reads only
-    its particle and the mask, so order does not matter. Cells come from
-    ``math.floor``, faster than ``int``; they differ only on (-1, 0),
-    off-grid for ``floor`` and the wall border ring for ``int``, both wall.
+    both. The cell checked is the one holding the rounded position: with a
+    ``vy`` of 1.0 and ``fy`` the float just below a power of two, ``fy + vy``
+    rounds up to the integer two rows on, so a one-row wall between is
+    passed when that row is open. A zero component is neither moved nor
+    stored. A step reads only its particle and the mask, so order does not
+    matter. Cells come from ``math.floor``, faster than ``int``; they differ
+    only on (-1, 0), off-grid for ``floor`` and the wall border ring for
+    ``int``, both wall.
     """
     for p in particles:
         vx, vy = p.vx, p.vy
@@ -83,33 +85,34 @@ def particle_stepper(world, spawned_in_an_instant: bool):
     """Step all of ``world.particles`` at the head of every instant, before any
     birth in it; spawned inside an instant, first wait for the next.
 
-    Each particle is sorted once, at its first step (only the stepper writes
-    a registered particle's position or velocity). A vertical one (``vx``
-    zero, ``vy`` not) in an open cell is kept as ``(p, lo, hi)``, its column's
-    open run from ``column_run``, and moves to ``fy = p.fy + vy`` if
-    ``lo <= fy < hi``, else flips ``vy``. Every other particle goes through
-    ``step_particles``. The two agree exactly: ``|vy| <= 1``, so ``fy`` lands
-    within one row of the particle's own, where ``[lo, hi)`` holds exactly
-    the open rows (beyond both ends is wall), and an int compares exactly
-    with a float; a zero ``vx`` flips only to ``-0.0``, still zero. The one
-    exception is rounding: ``fy`` just below a power of two plus a ``vy`` of
-    1.0 rounds up to the integer ``hi + 1``, two rows on, and there the
-    general step moves past the one-row wall ``hi`` if ``hi + 1`` is open;
-    so does this one, and the particle then goes to ``step_particles``.
+    Each particle is sorted once, at its first step, onto one step path for
+    life (only the stepper writes a registered particle's position or
+    velocity). A vertical one (``vx`` zero, ``vy`` not) in an open cell, with
+    ``abs(vy) != 1.0`` or ``fy`` on the half-row lattice (``2 * fy`` an
+    integer), is kept as ``(p, lo, hi)``, its column's open run from
+    ``column_run``, and moves to ``fy = p.fy + vy`` if ``lo <= fy < hi``,
+    else flips ``vy``. Every other particle goes through ``step_particles``.
+    The two agree exactly: such an ``fy`` lands within one row of the
+    particle's own, where ``[lo, hi)`` holds exactly the open rows (beyond
+    both ends is wall), and an int compares exactly with a float; a zero
+    ``vx`` flips only to ``-0.0``, still zero. As ``|vy| <= 1``, rounding
+    can carry ``fy`` two rows on only when ``vy`` is 1.0 and ``fy`` is the
+    float just below a power of two (see ``step_particles``), never on the
+    lattice; a step of 1.0 either way, or a flip, keeps ``fy`` on it, and
+    every particle a collapse launches is born on it, at a cell centre.
     """
     grid = world.grid
     walls, width, height = grid.walls, grid.width, grid.height
     particles = world.particles
     runs: list = []  # (p, lo, hi): a vertical p moves only in rows [lo, hi)
     others: list = []  # every other particle, for step_particles
-    strays: list = []  # vertical particles rounded past the end of their run
     seen = 0  # particles[:seen] are sorted into runs or others
     if spawned_in_an_instant:
         yield COOPERATE
     while True:
         if seen < len(particles):
             for p in particles[seen:]:
-                if not p.vx and p.vy:
+                if not p.vx and p.vy and (abs(p.vy) != 1.0 or (2 * p.fy).is_integer()):
                     x, y = floor(p.fx), floor(p.fy)
                     if 0 <= x < width and 0 <= y < height and not walls[y * width + x]:
                         runs.append((p, *column_run(walls, width, x, y)))
@@ -122,13 +125,6 @@ def particle_stepper(world, spawned_in_an_instant: bool):
             fy = p.fy + vy
             if lo <= fy < hi:
                 p.fy = fy
-            elif fy == hi + 1 < height and not walls[(hi + 1) * width + floor(p.fx)]:
-                p.fy = fy
-                strays.append(p)
             else:
                 p.vy = -vy
-        if strays:
-            runs = [r for r in runs if r[0] not in strays]
-            others += strays
-            strays.clear()
         yield COOPERATE

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from typing import Optional
 
 from .kernel import AwaitCollect, Collect, Event, Scheduler
+from .measure import reduce
 from .particles import particle_stepper
 from .stats import RunStats
 
@@ -284,5 +285,3 @@ def cell_behavior(world: World, c: Cell):
             awake_neighbourhood(world, c)
         del world.visible[c], ctx  # reset: no longer visible, so no state
 
-
-from .measure import reduce  # noqa: E402  (last: measure imports this module)

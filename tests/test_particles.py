@@ -1,6 +1,7 @@
 """Inertia, bouncing, containment, and the particle stepper."""
 
 from math import floor, nextafter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,7 +14,11 @@ from syncell.scenario import (
     SourceSpec,
     DetectorSpec,
     build_world,
+    load_scenario,
+    run_world,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def stepper_for(w):
@@ -147,7 +152,9 @@ def reference_step(p, walls, width, height):
     """One step as ``step_particles``' docstring states it, written apart from
     it: both coordinates are computed and stored on every step. x moves first,
     checked at the pre-step y, then y, at the new x; a non-zero component
-    that would land on a wall or off the grid flips and keeps its coordinate."""
+    that would land on a wall or off the grid flips and keeps its coordinate.
+    The cell checked holds the rounded position: ``fy`` just below a power of
+    two plus a ``vy`` of 1.0 rounds up to the integer two rows on."""
 
     def wall(fx, fy):
         x, y = floor(fx), floor(fy)
@@ -277,17 +284,18 @@ def test_the_stepper_scans_a_column_once_per_vertical_particle(monkeypatch):
         (3.5, 3.5, 0.0, 1.0, 0),
         (5.5, 3.5, 1.0, 1.0, 0),  # diagonal
         (7.5, 3.5, 0.0, 0.0, 0),  # still
+        (11.5, nextafter(4.0, 0.0), 0.0, 1.0, 0),  # 1.0 off the half-row lattice
         (9.5, 12.5, 0.0, -0.5, 0),  # born after 10 instants
     ]
-    for start in starts[:3]:
+    for start in starts[:4]:
         w.add_particle(RealParticle(*start))
     w.run(10)
-    w.add_particle(RealParticle(*starts[3]))
+    w.add_particle(RealParticle(*starts[4]))
     w.run(30)
     assert scans == [(walls, 20, 3, 3), (walls, 20, 9, 12)]
     reference = [RealParticle(*start) for start in starts]
     for i, p in enumerate(reference):
-        for _ in range(30 if i == 3 else 40):
+        for _ in range(30 if i == 4 else 40):
             reference_step(p, walls, 20, 20)
     assert [(p.fx, p.fy) for p in w.particles] == [(p.fx, p.fy) for p in reference]
 
@@ -306,6 +314,22 @@ def test_a_vertical_particle_rounded_past_a_wall_row_moves_as_the_general_step()
         reference_step(q, w.grid.walls, 9, 12)
         assert (p.fy, p.vy) == (q.fy, q.vy)
         assert p.fy >= 5.0  # bouncing in rows 5..10 from the first step on
+
+
+@pytest.mark.parametrize("name, instants", [("young200.scn", 2000), ("entangled.scn", 5200)])
+def test_a_launched_particle_never_takes_the_general_step(name, instants, monkeypatch):
+    # neither scenario overrides vx, and a collapse launches its particle at
+    # a cell centre, so the stepper keeps each on its column's open run
+    offered = []
+
+    def general(ps, *mask):
+        offered.extend(ps)
+        step_particles(ps, *mask)
+
+    monkeypatch.setattr(particles, "step_particles", general)
+    world = build_world(load_scenario(SCENARIOS / name))
+    assert run_world(world, instants).instants == instants
+    assert world.particles and offered == []
 
 
 def test_trajectory_is_deterministic():
