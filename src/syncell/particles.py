@@ -8,9 +8,10 @@ the component (inertia) or, where that would land in a wall cell, flips it
 the centre of their birth cell so a component never lands exactly on a cell
 boundary.
 
-The stepper gives each particle one of two step paths for life, the general
-``step_particles`` or a column-run comparison; ``particle_stepper`` states
-which particle takes which and why both give the same bytes.
+A particle is registered once; then only the stepper writes its position or
+velocity, on one of two step paths for life: the general ``step_particles``
+or a column-run comparison, which steps particles in one state as one group.
+``particle_stepper`` states which particle takes which and why both agree.
 """
 
 from __future__ import annotations
@@ -86,12 +87,15 @@ def particle_stepper(world, spawned_in_an_instant: bool):
     birth in it; spawned inside an instant, first wait for the next.
 
     Each particle is sorted once, at its first step, onto one step path for
-    life (only the stepper writes a registered particle's position or
-    velocity). A vertical one (``vx`` zero, ``vy`` not) in an open cell, with
-    ``abs(vy) != 1.0`` or ``fy`` on the half-row lattice (``2 * fy`` an
-    integer), is kept as ``(p, lo, hi)``, its column's open run from
-    ``column_run``, and moves to ``fy = p.fy + vy`` if ``lo <= fy < hi``,
-    else flips ``vy``. Every other particle goes through ``step_particles``.
+    life (a particle is registered once, and only the stepper writes its
+    position or velocity). A vertical one (``vx`` zero, ``vy`` not) in an
+    open cell, with ``abs(vy) != 1.0`` or ``fy`` on the half-row lattice
+    (``2 * fy`` an integer), joins or starts the group of its state ``(lo,
+    hi, fy, vy)``, ``[lo, hi)`` its column's open run from ``column_run``.
+    A group steps once, to ``fy = p.fy + vy`` if ``lo <= fy < hi``, else
+    flipping ``vy``, and stores the result on every member: the step reads
+    nothing else, so two particles in one state stay in one for life. Every
+    other particle goes through ``step_particles``.
     The two agree exactly: such an ``fy`` lands within one row of the
     particle's own, where ``[lo, hi)`` holds exactly the open rows (beyond
     both ends is wall), and an int compares exactly with a float; a zero
@@ -104,27 +108,38 @@ def particle_stepper(world, spawned_in_an_instant: bool):
     grid = world.grid
     walls, width, height = grid.walls, grid.width, grid.height
     particles = world.particles
-    runs: list = []  # (p, lo, hi): a vertical p moves only in rows [lo, hi)
+    runs: list = []  # (p, lo, hi, rest): one group, p and the particles that joined it
     others: list = []  # every other particle, for step_particles
     seen = 0  # particles[:seen] are sorted into runs or others
     if spawned_in_an_instant:
         yield COOPERATE
     while True:
         if seen < len(particles):
+            groups = {(lo, hi, p.fy, p.vy): rest for p, lo, hi, rest in runs}
             for p in particles[seen:]:
                 if not p.vx and p.vy and (abs(p.vy) != 1.0 or (2 * p.fy).is_integer()):
                     x, y = floor(p.fx), floor(p.fy)
                     if 0 <= x < width and 0 <= y < height and not walls[y * width + x]:
-                        runs.append((p, *column_run(walls, width, x, y)))
+                        lo, hi = column_run(walls, width, x, y)
+                        key = (lo, hi, p.fy, p.vy)
+                        if key in groups:
+                            groups[key].append(p)
+                        else:
+                            runs.append((p, lo, hi, groups.setdefault(key, [])))
                         continue
                 others.append(p)
             seen = len(particles)
         step_particles(others, walls, width, height)
-        for p, lo, hi in runs:
+        for p, lo, hi, rest in runs:
             vy = p.vy
             fy = p.fy + vy
             if lo <= fy < hi:
                 p.fy = fy
+                if rest:
+                    for q in rest:
+                        q.fy = fy
             else:
-                p.vy = -vy
+                p.vy = vy = -vy
+                for q in rest:
+                    q.vy = vy
         yield COOPERATE

@@ -4,11 +4,11 @@ from math import floor, nextafter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from syncell import COOPERATE, DOWN, UP, Await, Event, World
 from syncell import particles
-from syncell.particles import RealParticle, step_particles
+from syncell.particles import RealParticle, column_run, step_particles
 from syncell.scenario import (
     ScenarioSpec,
     SourceSpec,
@@ -205,52 +205,151 @@ _NON_DYADIC = st.floats(-1.0, 1.0).filter(lambda v: v * 2**20 % 1)  # no multipl
 _VERTICAL = st.one_of(st.sampled_from([1.0, -1.0, 0.3, -0.7]), _NON_DYADIC)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.data())
-def test_the_world_stepper_equals_the_reference_step(data):
-    width, height = data.draw(st.integers(3, 12)), data.draw(st.integers(5, 14))
+def same_run_columns(walls, width, x, y):
+    """The columns whose open run at row ``y`` is that of open cell ``(x, y)``."""
+    run = column_run(walls, width, x, y)
+    return [
+        c for c in range(width)
+        if not walls[y * width + c] and column_run(walls, width, c, y) == run
+    ]
+
+
+@st.composite
+def stepper_plans(draw):
+    """A grid with a one-cell run; particle starts on both step paths, some in
+    the ``(fy, vy)`` of another start, in its column or another column with
+    the same open run; each start's birth instant, before the instant or
+    inside it; and clones, each born at its instant as a copy of the current
+    ``(fy, vy)`` of a registered particle, ``(instant, inside, pick, column,
+    offset)``. A plan is plain data, so a failure shrinks to an ``@example``."""
+    width, height = draw(st.integers(3, 12)), draw(st.integers(5, 14))
     bricks = st.tuples(st.integers(1, width - 2), st.integers(1, height - 2))
     mask = bytearray(width * height)
-    for x, y in data.draw(st.lists(bricks, max_size=width * height // 4)):
+    for x, y in draw(st.lists(bricks, max_size=width * height // 4)):
         mask[y * width + x] = 1
     # a one-cell run: (px, py) open between walls above and below
-    px, py = data.draw(st.integers(1, width - 2)), data.draw(st.integers(2, height - 3))
+    px, py = draw(st.integers(1, width - 2)), draw(st.integers(2, height - 3))
     mask[(py - 1) * width + px] = mask[(py + 1) * width + px] = 1
     mask[py * width + px] = 0
-    w = World(width, height, walls=mask)
-    walls = w.grid.walls
+    walls = World(width, height, walls=mask).grid.walls
     cells = [(x, y) for y in range(height) for x in range(width)]
     open_cells = [(x, y) for x, y in cells if not walls[y * width + x]]
     wall_cells = [(x, y) for x, y in cells if walls[y * width + x]]
 
     def at(x, y):
-        return x + data.draw(_UNIT), y + data.draw(_UNIT)
+        return x + draw(_UNIT), y + draw(_UNIT)
 
     def somewhere(cells):
-        return at(*data.draw(st.sampled_from(cells)))
+        return at(*draw(st.sampled_from(cells)))
 
+    x, y = draw(st.sampled_from(open_cells))
     starts = [
-        (*somewhere(open_cells), 0.0, data.draw(st.sampled_from([1.0, -1.0]))),
-        (*somewhere(open_cells), 0.0, data.draw(_NON_DYADIC)),
-        (*at(px, py), 0.0, data.draw(_VERTICAL)),  # in the one-cell run
-        (*somewhere(open_cells), data.draw(_SPEED.filter(bool)), data.draw(_SPEED)),
+        (*somewhere(open_cells), 0.0, draw(st.sampled_from([1.0, -1.0]))),
+        (*somewhere(open_cells), 0.0, draw(_NON_DYADIC)),
+        (*at(px, py), 0.0, draw(_VERTICAL)),  # in the one-cell run
+        (x + draw(_UNIT), y + 0.5, 0.0, draw(st.sampled_from([1.0, -1.0]))),  # as launched
+        (*somewhere(open_cells), draw(_SPEED.filter(bool)), draw(_SPEED)),
         (*somewhere(open_cells), 0.0, 0.0),  # still
-        (*somewhere(wall_cells), 0.0, data.draw(_VERTICAL)),  # in a wall or the border
+        (*somewhere(wall_cells), 0.0, draw(_VERTICAL)),  # in a wall or the border
     ]
-    for _ in range(data.draw(st.integers(0, 4))):
-        starts.append((*somewhere(cells), data.draw(_COMPONENT), data.draw(_COMPONENT)))
-    steps = data.draw(st.integers(1, 30))
-    # each particle is born before an instant (False) or inside it (True)
-    births = [(data.draw(st.integers(0, steps - 1)), data.draw(st.booleans())) for _ in starts]
+    for _ in range(draw(st.integers(0, 4))):
+        starts.append((*somewhere(cells), draw(_COMPONENT), draw(_COMPONENT)))
+    # in the state of a vertical start in an open cell: its column or another
+    for elsewhere in draw(st.lists(st.booleans(), max_size=3)):
+        fx, fy, _, vy = starts[draw(st.sampled_from([0, 1, 2, 3]))]
+        x, y = floor(fx), floor(fy)
+        columns = [c for c in same_run_columns(walls, width, x, y) if c != x] or [x]
+        starts.append(((draw(st.sampled_from(columns)) if elsewhere else x) + draw(_UNIT), fy, 0.0, vy))
+    steps = draw(st.integers(1, 30))
+    instant, picks = st.integers(0, steps - 1), st.integers(0, 15)
+    births = [(draw(instant), draw(st.booleans())) for _ in starts]
+    clones = draw(st.lists(st.tuples(instant, st.booleans(), picks, picks, _UNIT), max_size=4))
+    return width, height, bytes(mask), starts, births, clones, steps
 
+
+def _bricks(width, height, *sites):
+    return bytes(i in sites for i in range(width * height))
+
+
+_STILL, _DIAGONAL, _IN_A_WALL = (1.0, 2.0, 0.0, 0.0), (1.0, 2.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+
+
+# Each @example is the shrunk failure of a stepper that groups particles
+# wrongly, one per fault.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stepper_plans())
+@example(  # one (fy, vy) in two runs, column 1's row 3 and column 2's rows 1-4: kept apart
+    plan=(5, 6, _bricks(5, 6, 11, 21),
+          [(2.0, 1.0, 0.0, -1.0), (1.0, 1.0, 0.0, 1.6029875612110114e-245),
+           (1.0, 3.0, 0.0, 1.0), (1.0, 1.5, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0),
+           (1.0, 1.0, 0.0, 0.0), _IN_A_WALL, (0.0, 0.0, 0.0, 0.0),
+           (1.0, 3.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
+          [(0, True)] + [(0, False)] * 7 + [(4, False), (0, False), (0, False)], [], 5)
+)
+@example(  # one run and vy, two fy: kept apart
+    plan=(4, 5, _bricks(4, 5, 5, 13),
+          [(2.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 0.8119002202875385), (1.0, 2.0, 0.0, 1.0),
+           (2.0, 1.5, 0.0, 1.0), (2.0, 1.0, 1.0, 0.0), (2.0, 1.0, 0.0, 0.0), _IN_A_WALL],
+          [(0, False)] * 7, [], 1)
+)
+@example(  # a group that flips flips every member
+    plan=(3, 5, _bricks(3, 5, 4, 10),
+          [(1.0, 2.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.3402408239208181), (1.0, 2.0, 0.0, 1.0),
+           (1.0, 2.5, 0.0, 1.0), _DIAGONAL, _STILL, _IN_A_WALL],
+          [(0, False)] * 7, [], 1)
+)
+@example(  # a group that moves moves every member
+    plan=(4, 5, _bricks(4, 5, 5, 13),
+          [(2.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 0.3402408239208181), (1.0, 2.0, 0.0, 1.0),
+           (2.0, 1.5, 0.0, 1.0), (2.0, 1.0, 1.0, 0.0), (2.0, 1.0, 0.0, 0.0), _IN_A_WALL,
+           (0.0, 0.0, 0.0, 0.0), (2.0, 1.0, 0.0, 1.0)],
+          [(0, False)] * 9, [], 1)
+)
+@example(  # a birth in a group's first state, after the group has moved, starts its own
+    plan=(3, 6, _bricks(3, 6, 4, 10),
+          [(1.0, 2.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.7727193300264439), (1.0, 2.0, 0.0, 1.0),
+           (1.0, 2.5, 0.0, 1.0), _DIAGONAL, _STILL, _IN_A_WALL, (1.0, 2.0, 0.0, 1.0)],
+          [(0, False)] * 7 + [(1, False)], [], 2)
+)
+def test_the_world_stepper_equals_the_reference_step(plan):
+    width, height, mask, starts, births, clones, steps = plan
+    w = World(width, height, walls=mask)
+    walls = w.grid.walls
     stepped = [RealParticle(*start, 0) for start in starts]
     reference = [RealParticle(*start, 0) for start in starts]
+    births = list(births)  # one (instant, inside) per particle, clones too
+
+    def clone(instant, inside, pick, column, offset):
+        """Register a copy of a registered particle's state, in its column or,
+        picked by ``column``, one with the same open run; return the index of
+        the copied particle and the copy's ``fx``, or None with none registered."""
+        if not w.particles:
+            return None
+        source = w.particles[pick % len(w.particles)]
+        x, y = floor(source.fx), floor(source.fy)
+        columns = [x]
+        if not source.vx and not walls[y * width + x]:
+            columns = same_run_columns(walls, width, x, y)
+        fx = columns[column % len(columns)] + offset
+        stepped.append(RealParticle(fx, source.fy, source.vx, source.vy, 0))
+        births.append((instant, inside))
+        w.add_particle(stepped[-1])
+        return stepped.index(source), fx
+
+    def copy_onto_reference(i, fx):
+        q = reference[i]
+        reference.append(RealParticle(fx, q.fy, q.vx, q.vy, 0))
+
+    copied_inside = []  # (index, fx) of the clones born in the running instant
 
     def born_inside():
         while True:
-            for p, (instant, inside) in zip(stepped, births):
+            for p, (instant, inside) in zip(stepped[: len(starts)], births):
                 if inside and instant == w.sched.clock:
                     w.add_particle(p)
+            for c in clones:
+                if c[:2] == (w.sched.clock, True) and (copied := clone(*c)):
+                    copied_inside.append(copied)
             yield COOPERATE
 
     w.sched.spawn(born_inside())
@@ -259,13 +358,19 @@ def test_the_world_stepper_equals_the_reference_step(data):
         return (p.fx, p.fy, p.vx, p.vy)
 
     for instant in range(steps):
-        for p, birth in zip(stepped, births):
+        for p, birth in zip(stepped[: len(starts)], births):
             if birth == (instant, False):
                 w.add_particle(p)
+        for c in clones:
+            if c[:2] == (instant, False) and (copied := clone(*c)):
+                copy_onto_reference(*copied)
         w.sched.run_instant()
         for p, (born, inside) in zip(reference, births):
             if born + inside <= instant:  # moves from the instant after its birth
                 reference_step(p, walls, width, height)
+        for copied in copied_inside:
+            copy_onto_reference(*copied)
+        copied_inside.clear()
         assert [state(p) for p in stepped] == [state(p) for p in reference]
 
 
@@ -330,6 +435,24 @@ def test_a_launched_particle_never_takes_the_general_step(name, instants, monkey
     world = build_world(load_scenario(SCENARIOS / name))
     assert run_world(world, instants).instants == instants
     assert world.particles and offered == []
+
+
+def test_young200_particles_in_one_state_share_one_fy_float():
+    # the source fires every 8 instants and each collapse launches its
+    # particle from the detector row, so most particles share their state
+    # with others; the stepper moves each state once and stores one float
+    world = build_world(load_scenario(SCENARIOS / "young200.scn"))
+    run_world(world, 1999)
+    stepped = len(world.particles)  # every one born before the last instant
+    run_world(world, 1)
+    walls, width = world.grid.walls, world.grid.width
+    floats = {}  # each state's fy objects
+    for p in world.particles[:stepped]:
+        run = column_run(walls, width, floor(p.fx), floor(p.fy))
+        floats.setdefault((run, p.fy, p.vy), set()).add(id(p.fy))
+    assert (stepped, len(floats)) == (243, 176)
+    assert all(len(ids) == 1 for ids in floats.values())
+    assert len({id(p.fy) for p in world.particles[:stepped]}) == len(floats)
 
 
 def test_trajectory_is_deterministic():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from syncell import COOPERATE, DOWN, UP, World
+from syncell import COOPERATE, DOWN, UP, RealParticle, World
 from syncell.kernel import Await, AwaitCollect, Collect, Event
 from syncell.scenario import fire
 from syncell.measure import REDUCE_WINDOW
@@ -324,6 +324,26 @@ def test_an_open_cell_is_72_bytes():
     # waiters, then x, y and ctx (the direction is on ctx, the state in
     # World.visible)
     assert sys.getsizeof(World(5, 5).grid.cell(2, 2)) == 72
+
+
+def test_the_reprs_name_their_fields():
+    w = World(9, 9)
+    event, seen = Event(), []
+
+    def generator():
+        w.sched.generate(event, 3)
+        seen.append(repr(event))
+        yield COOPERATE
+
+    w.sched.spawn(generator())
+    w.run(1)
+    assert seen == ["Event(present=True, values=[3])"]
+    assert repr(event) == "Event(present=False, values=())"
+    assert repr(COOPERATE) == "COOPERATE"
+    assert repr(w.grid.cell(3, 4)) == "Cell(3,4)"
+    assert repr(RealParticle(4.5, 160.5, 0.0, -1.0, 2)) == (
+        "RealParticle((4.50,160.50) v=(0.0,-1.0) state=2)"
+    )
 
 
 def test_linear_is_injective_row_major():
