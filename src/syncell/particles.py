@@ -8,10 +8,9 @@ the component (inertia) or, where that would land in a wall cell, flips it
 the centre of their birth cell so a component never lands exactly on a cell
 boundary.
 
-A particle is registered once; then only the stepper writes its position or
-velocity, on one of two step paths for life: the general ``step_particles``
-or a column-run comparison, which steps particles in one state as one group.
-``particle_stepper`` states which particle takes which and why both agree.
+The stepper gives each particle one of two step paths for life, the general
+``step_particles`` or a column-run comparison; ``particle_stepper`` states
+which particle takes which and why both give the same bytes.
 """
 
 from __future__ import annotations

@@ -186,11 +186,10 @@ class World:
         return ctx
 
     def add_particle(self, p) -> None:
-        """Register a particle, once; it moves from the next instant on, and
-        only the stepper writes its position or velocity, stepping particles
-        in one state as one group. The first birth spawns the stepper under
-        spawn id 0, no cell's (site (0, 0) is wall), so it heads every start
-        list; particle-free worlds go quiet."""
+        """Register a particle, once; from the next instant on only the stepper
+        moves it (see ``particle_stepper``). The first birth spawns the stepper
+        under spawn id 0, no cell's (site (0, 0) is wall), so it heads every
+        start list; particle-free worlds go quiet."""
         if not self.particles:
             self.sched.spawn(particle_stepper(self, self.sched.active), 0)
         self.particles.append(p)

@@ -437,22 +437,27 @@ def test_a_launched_particle_never_takes_the_general_step(name, instants, monkey
     assert world.particles and offered == []
 
 
-def test_young200_particles_in_one_state_share_one_fy_float():
+def test_young200_particles_in_one_state_step_in_one_addition():
     # the source fires every 8 instants and each collapse launches its
     # particle from the detector row, so most particles share their state
-    # with others; the stepper moves each state once and stores one float
+    # with others; the stepper computes each state's new fy once
+    class CountedVy(float):
+        adds = 0
+
+        def __radd__(self, fy):
+            CountedVy.adds += 1
+            return float.__radd__(self, fy)
+
     world = build_world(load_scenario(SCENARIOS / "young200.scn"))
     run_world(world, 1999)
-    stepped = len(world.particles)  # every one born before the last instant
-    run_world(world, 1)
+    stepped = world.particles[:]  # every one born before the last instant
     walls, width = world.grid.walls, world.grid.width
-    floats = {}  # each state's fy objects
-    for p in world.particles[:stepped]:
-        run = column_run(walls, width, floor(p.fx), floor(p.fy))
-        floats.setdefault((run, p.fy, p.vy), set()).add(id(p.fy))
-    assert (stepped, len(floats)) == (243, 176)
-    assert all(len(ids) == 1 for ids in floats.values())
-    assert len({id(p.fy) for p in world.particles[:stepped]}) == len(floats)
+    states = {(column_run(walls, width, floor(p.fx), floor(p.fy)), p.fy, p.vy) for p in stepped}
+    assert (len(stepped), len(states)) == (243, 176)
+    for p in stepped:  # an equal vy that counts the additions made with it
+        p.vy = CountedVy(p.vy)
+    run_world(world, 1)
+    assert CountedVy.adds == len(states)
 
 
 def test_trajectory_is_deterministic():

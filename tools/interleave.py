@@ -1,7 +1,6 @@
 """Interleaved A/B timer: what one source tree's instants cost against another's.
 
     python3 tools/interleave.py A/src/syncell B/src/syncell --workload young200|wavefront|entangled
-                                [--instants N]
 
 Each tree is loaded under its own package name, so both live in one process.
 The workload's world is built once in each: perfbench's ``young200`` or
@@ -136,16 +135,9 @@ def main(argv=None) -> int:
     parser.add_argument("tree_a", help="the baseline package directory, a src/syncell")
     parser.add_argument("tree_b", help="the package directory timed against it")
     parser.add_argument("--workload", choices=TIMED, required=True)
-    parser.add_argument(
-        "--instants", type=int, help="instants to run (default: the workload's own count)"
-    )
     args = parser.parse_args(argv)
-    if args.instants is not None and args.instants < 1:
-        parser.error("--instants must be at least 1")
     for b_first in (False, True):
-        a_ns, b_ns, mismatched = run_order(
-            args.tree_a, args.tree_b, args.workload, b_first, args.instants
-        )
+        a_ns, b_ns, mismatched = run_order(args.tree_a, args.tree_b, args.workload, b_first)
         summed = sum(b_ns) / sum(a_ns)
         median = statistics.median(b / a for a, b in zip(a_ns, b_ns))
         print(f"{args.workload}, {'B' if b_first else 'A'} loaded first: {len(a_ns)} instants, "
